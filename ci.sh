@@ -17,6 +17,10 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== benchmark crate (outside the workspace: build + test against the driver API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== reproduce smoke (multi-device bitwise + exact halo ratios + observability)"
 # Smoke fails hard on physics-monitor violations (NaN, mass drift > 1e-10)
 # and on any deviation from Table 2's byte-exact traffic ideals.

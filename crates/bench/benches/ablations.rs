@@ -18,6 +18,7 @@ use gpu_sim::coalesce::{aos_report, soa_report};
 use gpu_sim::DeviceSpec;
 use lbm_bench::{bench_geometry_2d, bench_line, time_iters, TAU};
 use lbm_core::collision::Bgk;
+use lbm_core::Simulation;
 use lbm_gpu::{MrScheme, MrSim2D, StSim, StSparseSim, StStream};
 use lbm_lattice::D2Q9;
 

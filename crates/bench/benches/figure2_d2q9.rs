@@ -14,6 +14,7 @@ use gpu_sim::efficiency::Pattern;
 use gpu_sim::DeviceSpec;
 use lbm_bench::{bench_geometry_2d, bench_line, time_iters, TAU};
 use lbm_core::collision::Bgk;
+use lbm_core::Simulation;
 use lbm_gpu::{AaStSim, MrScheme, MrSim2D, StSim};
 use lbm_lattice::D2Q9;
 

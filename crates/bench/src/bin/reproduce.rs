@@ -26,6 +26,7 @@ use gpu_sim::efficiency::{bandwidth_fraction, modeled_bandwidth_gbps, Pattern};
 use gpu_sim::roofline::{bytes_per_flup_mr, bytes_per_flup_st, mflups_max_on};
 use gpu_sim::DeviceSpec;
 use lbm_bench::{figure_sizes, run_2d, run_3d, run_3d_q27, run_3d_q39_st, RunResult};
+use lbm_core::Simulation;
 use lbm_gpu::footprint::footprint_table;
 use std::sync::Arc;
 

@@ -15,6 +15,7 @@ use gpu_sim::efficiency::{modeled_mflups, Pattern};
 use gpu_sim::DeviceSpec;
 use lbm_core::collision::Bgk;
 use lbm_core::Geometry;
+use lbm_core::Simulation;
 use lbm_gpu::{AaStSim, MrScheme, MrSim2D, MrSim3D, StSim};
 use lbm_lattice::{D2Q9, D3Q19, D3Q27, D3Q39};
 use std::time::Instant;

@@ -7,12 +7,17 @@
 //!
 //! ```text
 //! magic   [u8; 4]   = "LBCK"
-//! version u32       = 1
+//! version u32       = 2
 //! flavor  u64       = FNV-1a of the producing driver's flavor string
 //! len     u64       = payload length in bytes
 //! fnv     u64       = FNV-1a of the payload bytes
-//! payload [u8; len] = driver-defined sequence of u64 / f64 words
+//! payload [u8; len] = nx, ny, nz, steps (u64 each; written by the driver
+//!                     shell, `crate::sim`), then a driver-defined sequence
+//!                     of u64 / f64 words
 //! ```
+//!
+//! Version 1 placed the step counter inside the driver-defined words; its
+//! snapshots are rejected with [`CheckpointError::BadVersion`].
 //!
 //! The payload is written and read as raw IEEE-754 bit patterns
 //! ([`f64::to_bits`]), so a restore reproduces the saved state *bitwise* —
@@ -91,7 +96,7 @@ pub fn field_checksum(rho: &[f64], u: &[[f64; 3]]) -> u64 {
 /// Leading magic of every checkpoint blob.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"LBCK";
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Why a checkpoint failed to restore.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -21,10 +21,11 @@
 //!   vortex) used by the validation tests and examples.
 //! * [`diagnostics`] / [`io`] / [`units`] — observables, field output, and
 //!   lattice-unit conversions.
-//! * [`sim`] — the [`Simulation`] trait: the uniform driver surface
-//!   (step/checkpoint/restore/checksum/observe) implemented by all six
-//!   GPU-substrate drivers and consumed by the recovery loop and the
-//!   `lbm-serve` fleet scheduler.
+//! * [`sim`] — the [`Simulation`] trait (the uniform driver surface:
+//!   step/checkpoint/restore/checksum/observe, consumed by the recovery
+//!   loop and the `lbm-serve` fleet scheduler) and the driver shell behind
+//!   it: every GPU-substrate driver embeds a [`Shell`] and implements the
+//!   [`Driver`] hooks, and one blanket impl makes it a `Simulation`.
 
 #![allow(clippy::needless_range_loop)] // indexed loops are the idiom in stencil kernels
 pub mod analytic;
@@ -42,7 +43,7 @@ pub mod solver3d;
 pub mod units;
 
 pub use geometry::{Geometry, NodeType};
-pub use sim::{Simulation, StepError};
+pub use sim::{Driver, Shell, Simulation, StepError};
 pub use solver::Solver;
 pub use solver2d::Solver2D;
 pub use solver3d::Solver3D;

@@ -46,6 +46,7 @@
 //! while resident bytes drop from `2Q·8` to `Q·8` per node.
 
 use crate::boundary::boundary_nodes;
+use crate::ledger::Ledger;
 use crate::st::for_each_run;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats};
 use gpu_sim::memory::Tally;
@@ -53,10 +54,13 @@ use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
 use lbm_core::boundary::WallGains;
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
+use lbm_core::io::{CheckpointError, CheckpointReader, CheckpointWriter};
 use lbm_core::kernels::{aa_slot, KernelConsts, MAX_Q};
+use lbm_core::sim::{Driver, Shell, StepError};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Gather the streamed populations for node `idx` out of the even-state
 /// buffer (post-collision values in reversed slots). Case-for-case the
@@ -331,19 +335,19 @@ pub fn launch_aa_collide_span<L: Lattice, C: Collision<L>>(
 }
 
 /// Driver for an in-place AA-pattern ST simulation: one `Q·n` lattice,
-/// bitwise equal to [`crate::StSim`] at every even step count.
+/// bitwise equal to [`crate::StSim`] at every even step count. Its
+/// checkpoints carry the step parity in the flavor tag (`"aa-st+even"` /
+/// `"aa-st+odd"`), so a restore can only land on the half of the AA cycle
+/// the snapshot was taken at.
 pub struct AaStSim<L: Lattice, C: Collision<L>> {
+    shell: Shell,
     gpu: Gpu,
     geom: Geometry,
     a: GlobalBuffer<f64>,
     collision: C,
     consts: KernelConsts,
     block_size: usize,
-    steps: u64,
-    accum: Tally,
-    profiler: Option<std::sync::Arc<gpu_sim::profiler::Profiler>>,
-    obs: Option<std::sync::Arc<obs::Obs>>,
-    monitor: Option<obs::PhysicsMonitor>,
+    ledger: Ledger,
     _l: PhantomData<L>,
 }
 
@@ -364,17 +368,14 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
         let n = geom.len();
         let consts = KernelConsts::new::<L>(collision.tau());
         let mut sim = AaStSim {
+            shell: Shell::in_place("aa-st"),
             gpu: Gpu::new(device),
             geom,
             a: GlobalBuffer::new(L::Q * n).with_touch_tracking(),
             collision,
             consts,
             block_size: 256,
-            steps: 0,
-            accum: Tally::default(),
-            profiler: None,
-            obs: None,
-            monitor: None,
+            ledger: Ledger::default(),
             _l: PhantomData,
         };
         sim.init_with(|_, _, _| (1.0, [0.0; 3]));
@@ -395,44 +396,9 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
     }
 
     /// Record every kernel launch into a shared profiler.
-    pub fn with_profiler(mut self, p: std::sync::Arc<gpu_sim::profiler::Profiler>) -> Self {
-        self.profiler = Some(p);
+    pub fn with_profiler(mut self, p: Arc<gpu_sim::profiler::Profiler>) -> Self {
+        self.ledger.profiler = Some(p);
         self
-    }
-
-    /// Attach an observability hub (step spans, kernel spans, launch
-    /// metrics).
-    pub fn with_obs(mut self, obs: std::sync::Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
-    }
-
-    /// In-place [`AaStSim::with_obs`] (the `Simulation` trait surface).
-    pub fn set_obs(&mut self, obs: std::sync::Arc<obs::Obs>) {
-        self.gpu.set_obs(obs.clone());
-        self.obs = Some(obs);
-    }
-
-    /// Attach (or clear) the fleet trace context.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.gpu.set_trace_ctx(ctx);
-    }
-
-    /// Attach a physics monitor sampling the macroscopic fields every
-    /// `cfg.cadence` steps.
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The attached physics monitor, if any.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
-    }
-
-    /// Mutable access to the physics monitor (recovery rollback).
-    pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
-        self.monitor.as_mut()
     }
 
     /// Set the thread-block size of the half-step kernels.
@@ -459,7 +425,7 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
     }
 
     /// Attach a deterministic fault plan to the device and the lattice.
-    pub fn with_fault_plan(mut self, plan: std::sync::Arc<gpu_sim::FaultPlan>) -> Self {
+    pub fn with_fault_plan(mut self, plan: Arc<gpu_sim::FaultPlan>) -> Self {
         self.gpu.set_fault_plan(plan.clone());
         self.a.set_fault_plan(plan);
         self
@@ -484,129 +450,19 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
                 self.a.set(aa_slot::<L>(0, i) * n + idx, feq[i]);
             }
         }
-        self.steps = 0;
-        self.accum = Tally::default();
-    }
-
-    /// Advance one timestep: the stream half-step at even completed-step
-    /// counts, the in-place collide at odd ones.
-    pub fn step(&mut self) {
-        let obs = self.obs.clone();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.steps.to_string())];
-            if let Some(ctx) = self.gpu.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
-        let stats = if self.steps.is_multiple_of(2) {
-            launch_aa_stream_span::<L, C>(
-                &self.gpu,
-                &self.a,
-                &self.geom,
-                &self.collision,
-                &self.consts,
-                self.block_size,
-                0,
-                self.geom.nx,
-            )
-        } else {
-            launch_aa_collide_span::<L, C>(
-                &self.gpu,
-                &self.a,
-                &self.geom,
-                &self.collision,
-                &self.consts,
-                self.block_size,
-                0,
-                self.geom.nx,
-            )
-        };
-        self.accum.merge(&stats.tally);
-        if let Some(p) = &self.profiler {
-            p.record(&stats, self.geom.fluid_count() as u64);
-        }
-        self.steps += 1;
-        self.sample_monitor();
-    }
-
-    fn sample_monitor(&mut self) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.steps)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.steps, &rho, &u);
-        if let Some(o) = &self.obs {
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", "aa-st")], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", "aa-st")], s.max_u);
-            if s.nonfinite > 0 {
-                o.tracer.instant(
-                    "monitor",
-                    "nonfinite",
-                    &[
-                        ("step", s.step.to_string()),
-                        ("count", s.nonfinite.to_string()),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Advance `steps` timesteps, then force a final monitor sample.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Force a final monitor sample at the current step.
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.steps, &rho, &u);
-        if let (Some(s), Some(o)) = (s, &self.obs) {
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", "aa-st")], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", "aa-st")], s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Domain geometry.
-    pub fn geom(&self) -> &Geometry {
-        &self.geom
+        self.shell.reset_steps();
+        self.ledger.accum = Tally::default();
     }
 
     /// Aggregate traffic over all steps so far.
     pub fn traffic(&self) -> Tally {
-        self.accum
+        self.ledger.accum
     }
 
     /// Measured DRAM bytes per fluid lattice update (Table 2's B/F).
     pub fn measured_bpf(&self) -> f64 {
-        let updates = self.geom.fluid_count() as u64 * self.steps;
-        if updates == 0 {
-            return 0.0;
-        }
-        self.accum.dram_bytes() as f64 / updates as f64
-    }
-
-    /// Device-memory footprint: exactly one lattice, `Q·8` bytes per node —
-    /// half of [`crate::StSim`].
-    pub fn footprint_bytes(&self) -> usize {
-        self.a.size_bytes()
+        let updates = self.geom.fluid_count() as u64 * self.shell.steps();
+        self.ledger.bytes_per_update(updates)
     }
 
     /// Distribution at a node, un-permuted to natural direction order
@@ -614,8 +470,9 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
     pub fn f_at(&self, x: usize, y: usize, z: usize) -> Vec<f64> {
         let n = self.geom.len();
         let idx = self.geom.idx(x, y, z);
+        let t = self.shell.steps();
         (0..L::Q)
-            .map(|i| self.a.get(aa_slot::<L>(self.steps, i) * n + idx))
+            .map(|i| self.a.get(aa_slot::<L>(t, i) * n + idx))
             .collect()
     }
 
@@ -623,15 +480,51 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
     pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
         Moments::from_f::<L>(&self.f_at(x, y, z))
     }
+}
 
-    /// Density and velocity fields in one pass (solid nodes report zero).
+impl<L: Lattice, C: Collision<L>> Driver for AaStSim<L, C> {
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn geom(&self) -> &Geometry {
+        &self.geom
+    }
+
+    /// The stream half-step at even completed-step counts, the in-place
+    /// collide at odd ones.
+    fn advance(&mut self) -> Result<(), StepError> {
+        let launch = if self.shell.steps().is_multiple_of(2) {
+            launch_aa_stream_span::<L, C>
+        } else {
+            launch_aa_collide_span::<L, C>
+        };
+        let stats = launch(
+            &self.gpu,
+            &self.a,
+            &self.geom,
+            &self.collision,
+            &self.consts,
+            self.block_size,
+            0,
+            self.geom.nx,
+        );
+        self.ledger.record(&stats, || self.geom.fluid_count());
+        Ok(())
+    }
+
     /// At even parity the slot un-permutation makes the per-node sums
-    /// bitwise identical to [`crate::StSim::macro_fields`]; at odd parity
-    /// the buffer holds the *streamed* inputs of the next step, so the
-    /// fields are the (deterministic, conservative) half-cycle state —
-    /// comparable to the two-lattice driver only at even counts.
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    /// bitwise identical to [`crate::StSim`]'s; at odd parity the buffer
+    /// holds the *streamed* inputs of the next step, so the fields are the
+    /// (deterministic, conservative) half-cycle state — comparable to the
+    /// two-lattice driver only at even counts.
+    fn gather_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
         let n = self.geom.len();
+        let t = self.shell.steps();
         let mut rho_out = vec![0.0; n];
         let mut u_out = vec![[0.0; 3]; n];
         for idx in 0..n {
@@ -641,7 +534,7 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
             let mut rho = 0.0;
             let mut j = [0.0f64; 3];
             for i in 0..L::Q {
-                let fi = self.a.get(aa_slot::<L>(self.steps, i) * n + idx);
+                let fi = self.a.get(aa_slot::<L>(t, i) * n + idx);
                 let c = L::cf(i);
                 rho += fi;
                 j[0] += c[0] * fi;
@@ -655,81 +548,34 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
         (rho_out, u_out)
     }
 
-    /// Velocity field (solid nodes report zero).
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
+    /// `Q`, the traffic tally, and the raw slot-permuted lattice.
+    fn write_state(&self, w: &mut CheckpointWriter) {
+        w.put_u64(L::Q as u64);
+        self.ledger.write(w);
+        w.put_f64s(&self.a.snapshot()[..L::Q * self.geom.len()]);
     }
 
-    /// Density field (solid nodes report zero).
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
-    }
-
-    /// FNV-1a fingerprint of the macroscopic fields (bitwise-sensitive).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Serialize the full solver state. The flavor tag carries the step
-    /// parity (`"aa-st+even"` / `"aa-st+odd"`), so a restore can only land
-    /// on the half of the AA cycle the snapshot was taken at.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let n = self.geom.len();
-        let flavor = lbm_core::io::parity_flavor("aa-st", self.steps);
-        let mut w = lbm_core::io::CheckpointWriter::new(&flavor);
-        w.put_u64(self.geom.nx as u64)
-            .put_u64(self.geom.ny as u64)
-            .put_u64(self.geom.nz as u64)
-            .put_u64(L::Q as u64)
-            .put_u64(self.steps)
-            .put_u64(self.accum.reads)
-            .put_u64(self.accum.writes)
-            .put_u64(self.accum.bytes_read)
-            .put_u64(self.accum.bytes_written)
-            .put_u64(self.accum.dram_bytes_read)
-            .put_u64(self.accum.l2_read_hits)
-            .put_f64s(&self.a.snapshot()[..L::Q * n]);
-        w.finish()
-    }
-
-    /// Restore an [`AaStSim::checkpoint`] snapshot taken on an identically
-    /// configured simulation. The parity baked into the flavor tag is
-    /// cross-checked against the stored step counter, so a snapshot whose
-    /// framing and payload disagree about the half-cycle is rejected.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), lbm_core::io::CheckpointError> {
-        use lbm_core::io::{CheckpointError, CheckpointReader};
-        let (mut r, which) = CheckpointReader::open_any(bytes, &["aa-st+even", "aa-st+odd"])?;
-        r.expect_u64(self.geom.nx as u64, "nx")?;
-        r.expect_u64(self.geom.ny as u64, "ny")?;
-        r.expect_u64(self.geom.nz as u64, "nz")?;
+    fn read_state(&mut self, r: &mut CheckpointReader) -> Result<(), CheckpointError> {
         r.expect_u64(L::Q as u64, "Q")?;
-        let steps = r.take_u64()?;
-        if steps % 2 != which as u64 {
-            return Err(CheckpointError::Mismatch(format!(
-                "flavor parity ({}) disagrees with stored step counter {steps}",
-                if which == 0 { "even" } else { "odd" }
-            )));
-        }
-        let accum = Tally {
-            reads: r.take_u64()?,
-            writes: r.take_u64()?,
-            bytes_read: r.take_u64()?,
-            bytes_written: r.take_u64()?,
-            dram_bytes_read: r.take_u64()?,
-            l2_read_hits: r.take_u64()?,
-        };
-        let n = self.geom.len();
-        let a = r.take_f64s(L::Q * n)?;
+        self.ledger.read(r)?;
+        let a = r.take_f64s(L::Q * self.geom.len())?;
         for (i, v) in a.iter().enumerate() {
             self.a.set(i, *v);
         }
-        self.steps = steps;
-        self.accum = accum;
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.steps);
-        }
         Ok(())
+    }
+
+    /// Exactly one lattice, `Q·8` bytes per node — half of [`crate::StSim`].
+    fn lattice_bytes(&self) -> usize {
+        self.a.size_bytes()
+    }
+
+    fn attach_obs(&mut self, obs: Arc<obs::Obs>) {
+        self.gpu.set_obs(obs);
+    }
+
+    fn attach_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
+        self.gpu.set_trace_ctx(ctx);
     }
 }
 
@@ -738,6 +584,7 @@ mod tests {
     use super::*;
     use crate::StSim;
     use lbm_core::collision::{Bgk, Projective};
+    use lbm_core::Simulation;
     use lbm_lattice::{D2Q9, D3Q19};
 
     fn shear_init(x: usize, y: usize, z: usize) -> (f64, [f64; 3]) {
@@ -971,10 +818,11 @@ mod tests {
             aa.restore(&st.checkpoint()),
             Err(CheckpointError::WrongFlavor { .. })
         ));
-        // Forge an even-flavored blob whose stored counter is odd.
+        // Forge an even-flavored blob whose stored counter is odd (shell
+        // header nx, ny, nz, steps; then Q).
         let n = aa.geom().len();
         let mut w = CheckpointWriter::new("aa-st+even");
-        w.put_u64(16).put_u64(9).put_u64(1).put_u64(9).put_u64(3);
+        w.put_u64(16).put_u64(9).put_u64(1).put_u64(3).put_u64(9);
         for _ in 0..6 {
             w.put_u64(0);
         }

@@ -26,11 +26,11 @@
 pub mod aa;
 pub mod boundary;
 pub mod footprint;
+mod ledger;
 pub mod moment_lattice;
 pub mod mr2d;
 pub mod mr3d;
 pub mod scheme;
-pub mod sim_impls;
 pub mod sparse;
 pub mod sparse_mr;
 pub mod st;

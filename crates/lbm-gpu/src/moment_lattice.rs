@@ -77,11 +77,6 @@ impl MomentLattice {
         self
     }
 
-    /// Whether the parity twist is enabled.
-    pub fn parity_twist(&self) -> bool {
-        self.twist
-    }
-
     /// Physical plane holding logical moment `m` at timestep `t`.
     #[inline(always)]
     fn plane(&self, t: u64, m: usize) -> usize {

@@ -31,11 +31,14 @@
 //! constructors (`try_new`), so a service front-end can reject a bad
 //! geometry instead of catching a panic.
 
+use crate::ledger::Ledger;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch};
 use gpu_sim::memory::Tally;
 use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
+use lbm_core::io::{CheckpointError, CheckpointReader, CheckpointWriter};
+use lbm_core::sim::{Driver, Shell, StepError};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
@@ -309,7 +312,7 @@ impl<L: Lattice, C: Collision<L>> Kernel for SparseKernel<'_, L, C> {
 /// Launch the sparse pull-collide kernel over every tile of `index`
 /// (one block per tile). `src` is read through `table`'s links, collided
 /// populations land in `dst`. The sharded drivers call this per shard with
-/// ghost-filtered active lists; [`StSparseSim::step`] calls it with every
+/// ghost-filtered active lists; `StSparseSim`'s step calls it with every
 /// node active.
 pub fn launch_sparse_st<L: Lattice, C: Collision<L>>(
     gpu: &Gpu,
@@ -337,6 +340,7 @@ pub fn launch_sparse_st<L: Lattice, C: Collision<L>>(
 
 /// Driver for the indirect-addressing ST simulation.
 pub struct StSparseSim<L: Lattice, C: Collision<L>> {
+    shell: Shell,
     gpu: Gpu,
     geom: Geometry,
     index: FluidIndex,
@@ -344,10 +348,7 @@ pub struct StSparseSim<L: Lattice, C: Collision<L>> {
     f: [GlobalBuffer<f64>; 2],
     cur: usize,
     collision: C,
-    steps: u64,
-    accum: Tally,
-    obs: Option<Arc<obs::Obs>>,
-    monitor: Option<obs::PhysicsMonitor>,
+    ledger: Ledger,
     _l: PhantomData<L>,
 }
 
@@ -375,6 +376,7 @@ impl<L: Lattice, C: Collision<L>> StSparseSim<L, C> {
             GlobalBuffer::from_vec(build_neighbor_table::<L>(&geom, &index)?).with_touch_tracking();
         let nf = index.len();
         let mut sim = StSparseSim {
+            shell: Shell::new("sparse-st"),
             gpu: Gpu::new(device),
             geom,
             index,
@@ -385,10 +387,7 @@ impl<L: Lattice, C: Collision<L>> StSparseSim<L, C> {
             ],
             cur: 0,
             collision,
-            steps: 0,
-            accum: Tally::default(),
-            obs: None,
-            monitor: None,
+            ledger: Ledger::default(),
             _l: PhantomData,
         };
         sim.init_with(|_, _, _| (1.0, [0.0; 3]));
@@ -417,39 +416,6 @@ impl<L: Lattice, C: Collision<L>> StSparseSim<L, C> {
         self
     }
 
-    /// Attach an observability hub (kernel spans, monitor gauges).
-    pub fn with_obs(mut self, obs: Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
-    }
-
-    /// Attach an observability hub after construction.
-    pub fn set_obs(&mut self, obs: Arc<obs::Obs>) {
-        self.gpu.set_obs(obs.clone());
-        self.obs = Some(obs);
-    }
-
-    /// Attribute subsequent spans and events to a fleet trace context.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.gpu.set_trace_ctx(ctx);
-    }
-
-    /// Attach a physics monitor sampling the macroscopic fields.
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The attached physics monitor, if any.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
-    }
-
-    /// Monitor/metric pattern label for this driver.
-    pub fn pattern_label(&self) -> &'static str {
-        "sparse-st"
-    }
-
     /// Initialize to the operator-consistent equilibrium of a field.
     pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
         let nf = self.index.len();
@@ -467,20 +433,38 @@ impl<L: Lattice, C: Collision<L>> StSparseSim<L, C> {
                 self.f[self.cur].set(i * nf + cid, feq[i]);
             }
         }
-        self.steps = 0;
-        self.accum = Tally::default();
+        self.shell.reset_steps();
+        self.ledger.accum = Tally::default();
     }
 
-    /// Advance one timestep.
-    pub fn step(&mut self) {
-        let obs = self.obs.clone();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.steps.to_string())];
-            if let Some(ctx) = self.gpu.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
+    /// Aggregate traffic over all steps so far.
+    pub fn traffic(&self) -> Tally {
+        self.ledger.accum
+    }
+
+    /// Measured DRAM bytes per fluid update — `2Q·8 + Q·4` for the link
+    /// reads (the indirect-addressing penalty). Zero before the first step
+    /// (no updates have happened, so there is no per-update ratio yet).
+    pub fn measured_bpf(&self) -> f64 {
+        let updates = self.index.len() as u64 * self.shell.steps();
+        self.ledger.bytes_per_update(updates)
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> Driver for StSparseSim<L, C> {
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn geom(&self) -> &Geometry {
+        &self.geom
+    }
+
+    fn advance(&mut self) -> Result<(), StepError> {
         let (src, dst) = (&self.f[self.cur], &self.f[self.cur ^ 1]);
         let stats = launch_sparse_st::<L, C>(
             &self.gpu,
@@ -490,161 +474,12 @@ impl<L: Lattice, C: Collision<L>> StSparseSim<L, C> {
             &self.index,
             &self.collision,
         );
-        self.accum.merge(&stats.tally);
+        self.ledger.record(&stats, || self.index.len());
         self.cur ^= 1;
-        self.steps += 1;
-        self.sample_monitor();
-    }
-
-    /// Cadence-gated monitor sampling.
-    fn sample_monitor(&mut self) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.steps)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.steps, &rho, &u);
-        if let Some(o) = &self.obs {
-            let pat = self.pattern_label();
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", pat)], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", pat)], s.max_u);
-            if s.nonfinite > 0 {
-                o.tracer.instant(
-                    "monitor",
-                    "nonfinite",
-                    &[
-                        ("step", s.step.to_string()),
-                        ("count", s.nonfinite.to_string()),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Force a final monitor sample at the current step.
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.steps, &rho, &u);
-        if let (Some(s), Some(o)) = (s, &self.obs) {
-            let pat = self.pattern_label();
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", pat)], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", pat)], s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Advance `steps` timesteps, then flush the monitor.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Domain geometry.
-    pub fn geom(&self) -> &Geometry {
-        &self.geom
-    }
-
-    /// The fluid-node compaction.
-    pub fn index(&self) -> &FluidIndex {
-        &self.index
-    }
-
-    /// Aggregate traffic over all steps so far.
-    pub fn traffic(&self) -> Tally {
-        self.accum
-    }
-
-    /// Measured DRAM bytes per fluid update — `2Q·8 + Q·4` for the link
-    /// reads (the indirect-addressing penalty). Zero before the first step
-    /// (no updates have happened, so there is no per-update ratio yet).
-    pub fn measured_bpf(&self) -> f64 {
-        let updates = self.index.len() as u64 * self.steps;
-        if updates == 0 {
-            return 0.0;
-        }
-        self.accum.dram_bytes() as f64 / updates as f64
-    }
-
-    /// Device-memory footprint: two compacted lattices plus the link table.
-    /// Scales with the fluid count, not the bounding box.
-    pub fn footprint_bytes(&self) -> usize {
-        self.f[0].size_bytes() + self.f[1].size_bytes() + self.table.size_bytes()
-    }
-
-    /// Serialize the full solver state (LBCK flavor `"sparse-st"`): the
-    /// current compacted lattice plus the traffic tally, restorable on an
-    /// identically configured simulation for bitwise-identical resumption.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = lbm_core::io::CheckpointWriter::new("sparse-st");
-        w.put_u64(self.geom.nx as u64)
-            .put_u64(self.geom.ny as u64)
-            .put_u64(self.geom.nz as u64)
-            .put_u64(L::Q as u64)
-            .put_u64(self.index.len() as u64)
-            .put_u64(self.steps)
-            .put_u64(self.accum.reads)
-            .put_u64(self.accum.writes)
-            .put_u64(self.accum.bytes_read)
-            .put_u64(self.accum.bytes_written)
-            .put_u64(self.accum.dram_bytes_read)
-            .put_u64(self.accum.l2_read_hits)
-            .put_f64s(&self.f[self.cur].snapshot());
-        w.finish()
-    }
-
-    /// Restore a [`StSparseSim::checkpoint`] snapshot.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), lbm_core::io::CheckpointError> {
-        use lbm_core::io::CheckpointReader;
-        let mut r = CheckpointReader::open(bytes, "sparse-st")?;
-        r.expect_u64(self.geom.nx as u64, "nx")?;
-        r.expect_u64(self.geom.ny as u64, "ny")?;
-        r.expect_u64(self.geom.nz as u64, "nz")?;
-        r.expect_u64(L::Q as u64, "Q")?;
-        r.expect_u64(self.index.len() as u64, "fluid nodes")?;
-        let t = r.take_u64()?;
-        self.accum = Tally {
-            reads: r.take_u64()?,
-            writes: r.take_u64()?,
-            bytes_read: r.take_u64()?,
-            bytes_written: r.take_u64()?,
-            dram_bytes_read: r.take_u64()?,
-            l2_read_hits: r.take_u64()?,
-        };
-        let raw = r.take_f64s(self.f[0].len())?;
-        for (i, v) in raw.iter().enumerate() {
-            self.f[0].set(i, *v);
-        }
-        self.cur = 0;
-        self.steps = t;
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.steps);
-        }
         Ok(())
     }
 
-    /// FNV-1a fingerprint of the macroscopic fields (bitwise-sensitive).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Density and velocity fields on the full domain in one pass (solid
-    /// nodes report zero). This is what the physics monitor samples.
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    fn gather_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
         let nf = self.index.len();
         let mut rho_out = vec![0.0; self.geom.len()];
         let mut u_out = vec![[0.0; 3]; self.geom.len()];
@@ -660,14 +495,38 @@ impl<L: Lattice, C: Collision<L>> StSparseSim<L, C> {
         (rho_out, u_out)
     }
 
-    /// Velocity field on the full domain (solid nodes report zero).
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
+    /// `Q`, the fluid count, the traffic tally, and the current compacted
+    /// lattice.
+    fn write_state(&self, w: &mut CheckpointWriter) {
+        w.put_u64(L::Q as u64).put_u64(self.index.len() as u64);
+        self.ledger.write(w);
+        w.put_f64s(&self.f[self.cur].snapshot());
     }
 
-    /// Density field on the full domain.
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
+    fn read_state(&mut self, r: &mut CheckpointReader) -> Result<(), CheckpointError> {
+        r.expect_u64(L::Q as u64, "Q")?;
+        r.expect_u64(self.index.len() as u64, "fluid nodes")?;
+        self.ledger.read(r)?;
+        let raw = r.take_f64s(self.f[0].len())?;
+        for (i, v) in raw.iter().enumerate() {
+            self.f[0].set(i, *v);
+        }
+        self.cur = 0;
+        Ok(())
+    }
+
+    /// Two compacted lattices plus the link table — scales with the fluid
+    /// count, not the bounding box.
+    fn lattice_bytes(&self) -> usize {
+        self.f[0].size_bytes() + self.f[1].size_bytes() + self.table.size_bytes()
+    }
+
+    fn attach_obs(&mut self, obs: Arc<obs::Obs>) {
+        self.gpu.set_obs(obs);
+    }
+
+    fn attach_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
+        self.gpu.set_trace_ctx(ctx);
     }
 }
 
@@ -675,6 +534,7 @@ impl<L: Lattice, C: Collision<L>> StSparseSim<L, C> {
 mod tests {
     use super::*;
     use lbm_core::collision::{Bgk, Projective};
+    use lbm_core::Simulation;
     use lbm_core::Solver;
     use lbm_lattice::{D2Q9, D3Q19};
 

@@ -30,6 +30,7 @@
 //! moment lattice suffices; the per-tile staging slab lives in block
 //! scratch, which persists across phases.
 
+use crate::ledger::Ledger;
 use crate::scheme::MrScheme;
 use crate::sparse::{
     build_neighbor_table, validate_sparse_geometry, FluidIndex, SparseBuildError, Tile,
@@ -38,7 +39,9 @@ use gpu_sim::exec::{BlockCtx, Launch, PhasedKernel};
 use gpu_sim::memory::Tally;
 use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
 use lbm_core::geometry::Geometry;
+use lbm_core::io::{CheckpointError, CheckpointReader, CheckpointWriter};
 use lbm_core::kernels::{self, LaneBlock, LANES, MAX_M, MAX_Q};
+use lbm_core::sim::{Driver, Shell, StepError};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::{Lattice, D2Q9, D3Q19};
 use std::collections::HashMap;
@@ -252,6 +255,7 @@ pub fn launch_sparse_mr<L: Lattice>(
 /// moment-representation simulation. Stores a single in-place moment
 /// lattice of `M` doubles per fluid node plus the `u32` link table.
 pub struct SparseMrSim<L: Lattice> {
+    shell: Shell,
     gpu: Gpu,
     geom: Geometry,
     index: FluidIndex,
@@ -260,10 +264,7 @@ pub struct SparseMrSim<L: Lattice> {
     scheme: MrScheme,
     tau: f64,
     scalar: bool,
-    t: u64,
-    accum: Tally,
-    obs: Option<Arc<obs::Obs>>,
-    monitor: Option<obs::PhysicsMonitor>,
+    ledger: Ledger,
     _l: PhantomData<L>,
 }
 
@@ -296,6 +297,7 @@ impl<L: Lattice> SparseMrSim<L> {
             GlobalBuffer::from_vec(build_neighbor_table::<L>(&geom, &index)?).with_touch_tracking();
         let nf = index.len();
         let mut sim = SparseMrSim {
+            shell: Shell::new("sparse-mr"),
             gpu: Gpu::new(device),
             geom,
             index,
@@ -304,10 +306,7 @@ impl<L: Lattice> SparseMrSim<L> {
             scheme,
             tau,
             scalar: false,
-            t: 0,
-            accum: Tally::default(),
-            obs: None,
-            monitor: None,
+            ledger: Ledger::default(),
             _l: PhantomData,
         };
         sim.init_with(|_, _, _| (1.0, [0.0; 3]));
@@ -337,7 +336,11 @@ impl<L: Lattice> SparseMrSim<L> {
     /// two-phase kernel reads strictly before it writes, so even the
     /// strict checker stays quiet.
     pub fn with_racecheck_strict(mut self) -> Self {
-        assert_eq!(self.t, 0, "attach the race checker before stepping");
+        assert_eq!(
+            self.shell.steps(),
+            0,
+            "attach the race checker before stepping"
+        );
         let old = std::mem::replace(&mut self.mom, GlobalBuffer::new(0));
         self.mom = old.with_racecheck_strict();
         self
@@ -348,39 +351,6 @@ impl<L: Lattice> SparseMrSim<L> {
         self.gpu.set_fault_plan(plan.clone());
         self.mom.set_fault_plan(plan);
         self
-    }
-
-    /// Attach an observability hub (kernel spans, monitor gauges).
-    pub fn with_obs(mut self, obs: Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
-    }
-
-    /// Attach an observability hub after construction.
-    pub fn set_obs(&mut self, obs: Arc<obs::Obs>) {
-        self.gpu.set_obs(obs.clone());
-        self.obs = Some(obs);
-    }
-
-    /// Attribute subsequent spans and events to a fleet trace context.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.gpu.set_trace_ctx(ctx);
-    }
-
-    /// Attach a physics monitor sampling the macroscopic fields.
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The attached physics monitor, if any.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
-    }
-
-    /// Monitor/metric pattern label for this driver.
-    pub fn pattern_label(&self) -> &'static str {
-        "sparse-mr"
     }
 
     /// Initialize every fluid node's moments from a macroscopic field
@@ -402,20 +372,39 @@ impl<L: Lattice> SparseMrSim<L> {
                 self.mom.set(mi * nf + cid, packed[mi]);
             }
         }
-        self.t = 0;
-        self.accum = Tally::default();
+        self.shell.reset_steps();
+        self.ledger.accum = Tally::default();
     }
 
-    /// Advance one timestep (one two-phase lockstep launch).
-    pub fn step(&mut self) {
-        let obs = self.obs.clone();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.t.to_string())];
-            if let Some(ctx) = self.gpu.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
+    /// Aggregate traffic over all steps so far.
+    pub fn traffic(&self) -> Tally {
+        self.ledger.accum
+    }
+
+    /// Measured DRAM bytes per fluid update — `2M·8 + Q·4` (132 for D2Q9,
+    /// 236 for D3Q19). Zero before the first step (no updates yet, so
+    /// there is no per-update ratio — the 0/0 guard of the ST driver).
+    pub fn measured_bpf(&self) -> f64 {
+        let updates = self.index.len() as u64 * self.shell.steps();
+        self.ledger.bytes_per_update(updates)
+    }
+}
+
+impl<L: Lattice> Driver for SparseMrSim<L> {
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn geom(&self) -> &Geometry {
+        &self.geom
+    }
+
+    /// One two-phase lockstep launch.
+    fn advance(&mut self) -> Result<(), StepError> {
         let stats = launch_sparse_mr::<L>(
             &self.gpu,
             &self.mom,
@@ -426,162 +415,11 @@ impl<L: Lattice> SparseMrSim<L> {
             self.tau,
             self.scalar,
         );
-        self.accum.merge(&stats.tally);
-        self.t += 1;
-        self.sample_monitor();
-    }
-
-    /// Cadence-gated monitor sampling.
-    fn sample_monitor(&mut self) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.t)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.t, &rho, &u);
-        if let Some(o) = &self.obs {
-            let pat = self.pattern_label();
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", pat)], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", pat)], s.max_u);
-            if s.nonfinite > 0 {
-                o.tracer.instant(
-                    "monitor",
-                    "nonfinite",
-                    &[
-                        ("step", s.step.to_string()),
-                        ("count", s.nonfinite.to_string()),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Force a final monitor sample at the current step.
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.t, &rho, &u);
-        if let (Some(s), Some(o)) = (s, &self.obs) {
-            let pat = self.pattern_label();
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", pat)], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", pat)], s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Advance `steps` timesteps, then flush the monitor.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// Domain geometry.
-    pub fn geom(&self) -> &Geometry {
-        &self.geom
-    }
-
-    /// The fluid-node compaction.
-    pub fn index(&self) -> &FluidIndex {
-        &self.index
-    }
-
-    /// The collision scheme.
-    pub fn scheme(&self) -> &MrScheme {
-        &self.scheme
-    }
-
-    /// Aggregate traffic over all steps so far.
-    pub fn traffic(&self) -> Tally {
-        self.accum
-    }
-
-    /// Measured DRAM bytes per fluid update — `2M·8 + Q·4` (132 for D2Q9,
-    /// 236 for D3Q19). Zero before the first step (no updates yet, so
-    /// there is no per-update ratio — the 0/0 guard of the ST driver).
-    pub fn measured_bpf(&self) -> f64 {
-        let updates = self.index.len() as u64 * self.t;
-        if updates == 0 {
-            return 0.0;
-        }
-        self.accum.dram_bytes() as f64 / updates as f64
-    }
-
-    /// Device-memory footprint: one compacted moment lattice plus the link
-    /// table — `M·8 + Q·4` bytes per fluid node.
-    pub fn footprint_bytes(&self) -> usize {
-        self.mom.size_bytes() + self.table.size_bytes()
-    }
-
-    /// Serialize the full solver state (LBCK flavor `"sparse-mr"`).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = lbm_core::io::CheckpointWriter::new("sparse-mr");
-        w.put_u64(self.geom.nx as u64)
-            .put_u64(self.geom.ny as u64)
-            .put_u64(self.geom.nz as u64)
-            .put_u64(L::M as u64)
-            .put_u64(self.index.len() as u64)
-            .put_u64(self.t)
-            .put_u64(self.accum.reads)
-            .put_u64(self.accum.writes)
-            .put_u64(self.accum.bytes_read)
-            .put_u64(self.accum.bytes_written)
-            .put_u64(self.accum.dram_bytes_read)
-            .put_u64(self.accum.l2_read_hits)
-            .put_f64s(&self.mom.snapshot());
-        w.finish()
-    }
-
-    /// Restore a [`SparseMrSim::checkpoint`] snapshot.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), lbm_core::io::CheckpointError> {
-        use lbm_core::io::CheckpointReader;
-        let mut r = CheckpointReader::open(bytes, "sparse-mr")?;
-        r.expect_u64(self.geom.nx as u64, "nx")?;
-        r.expect_u64(self.geom.ny as u64, "ny")?;
-        r.expect_u64(self.geom.nz as u64, "nz")?;
-        r.expect_u64(L::M as u64, "M")?;
-        r.expect_u64(self.index.len() as u64, "fluid nodes")?;
-        let t = r.take_u64()?;
-        self.accum = Tally {
-            reads: r.take_u64()?,
-            writes: r.take_u64()?,
-            bytes_read: r.take_u64()?,
-            bytes_written: r.take_u64()?,
-            dram_bytes_read: r.take_u64()?,
-            l2_read_hits: r.take_u64()?,
-        };
-        let raw = r.take_f64s(self.mom.len())?;
-        for (i, v) in raw.iter().enumerate() {
-            self.mom.set(i, *v);
-        }
-        self.t = t;
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.t);
-        }
+        self.ledger.record(&stats, || self.index.len());
         Ok(())
     }
 
-    /// FNV-1a fingerprint of the macroscopic fields (bitwise-sensitive).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Density and velocity fields on the full domain in one pass (solid
-    /// nodes report zero).
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    fn gather_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
         let nf = self.index.len();
         let mut rho_out = vec![0.0; self.geom.len()];
         let mut u_out = vec![[0.0; 3]; self.geom.len()];
@@ -594,14 +432,36 @@ impl<L: Lattice> SparseMrSim<L> {
         (rho_out, u_out)
     }
 
-    /// Velocity field on the full domain (solid nodes report zero).
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
+    /// `M`, the fluid count, the traffic tally, and the compacted moments.
+    fn write_state(&self, w: &mut CheckpointWriter) {
+        w.put_u64(L::M as u64).put_u64(self.index.len() as u64);
+        self.ledger.write(w);
+        w.put_f64s(&self.mom.snapshot());
     }
 
-    /// Density field on the full domain.
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
+    fn read_state(&mut self, r: &mut CheckpointReader) -> Result<(), CheckpointError> {
+        r.expect_u64(L::M as u64, "M")?;
+        r.expect_u64(self.index.len() as u64, "fluid nodes")?;
+        self.ledger.read(r)?;
+        let raw = r.take_f64s(self.mom.len())?;
+        for (i, v) in raw.iter().enumerate() {
+            self.mom.set(i, *v);
+        }
+        Ok(())
+    }
+
+    /// One compacted moment lattice plus the link table — `M·8 + Q·4`
+    /// bytes per fluid node.
+    fn lattice_bytes(&self) -> usize {
+        self.mom.size_bytes() + self.table.size_bytes()
+    }
+
+    fn attach_obs(&mut self, obs: Arc<obs::Obs>) {
+        self.gpu.set_obs(obs);
+    }
+
+    fn attach_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
+        self.gpu.set_trace_ctx(ctx);
     }
 }
 
@@ -610,6 +470,7 @@ mod tests {
     use super::*;
     use crate::MrSim2D;
     use lbm_core::geometry::NodeType;
+    use lbm_core::Simulation;
 
     fn obstacle_2d() -> Geometry {
         Geometry::walls_y_periodic_x(20, 12).with_cylinder(8.5, 5.5, 2.4)

@@ -8,16 +8,20 @@
 //! small inlet/outlet kernel contribution.
 
 use crate::boundary::{boundary_nodes, stencil_coords, MacroCache};
+use crate::ledger::Ledger;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats};
 use gpu_sim::memory::Tally;
 use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
 use lbm_core::boundary::{boundary_node_moments, WallGains};
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
+use lbm_core::io::{CheckpointError, CheckpointReader, CheckpointWriter};
 use lbm_core::kernels::{KernelConsts, MAX_Q};
+use lbm_core::sim::{Driver, Shell, StepError};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Streaming by gather (Algorithm 1, lines 3–10) with halfway bounce-back
 /// against solid neighbors — everything up to the collision. Shared by the
@@ -454,6 +458,7 @@ impl<L: Lattice, C: Collision<L>> Kernel for StBcKernel<'_, L, C> {
 
 /// Driver for an ST simulation on the substrate.
 pub struct StSim<L: Lattice, C: Collision<L>> {
+    shell: Shell,
     gpu: Gpu,
     geom: Geometry,
     f: [GlobalBuffer<f64>; 2],
@@ -463,11 +468,7 @@ pub struct StSim<L: Lattice, C: Collision<L>> {
     block_size: usize,
     stream: StStream,
     boundary: Vec<(usize, usize, usize)>,
-    steps: u64,
-    accum: Tally,
-    profiler: Option<std::sync::Arc<gpu_sim::profiler::Profiler>>,
-    obs: Option<std::sync::Arc<obs::Obs>>,
-    monitor: Option<obs::PhysicsMonitor>,
+    ledger: Ledger,
     _l: PhantomData<L>,
 }
 
@@ -485,6 +486,7 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
         }
         let consts = KernelConsts::new::<L>(collision.tau());
         let mut sim = StSim {
+            shell: Shell::new("st"),
             gpu: Gpu::new(device),
             geom,
             f: [
@@ -497,11 +499,7 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
             block_size: 256,
             stream: StStream::Pull,
             boundary,
-            steps: 0,
-            accum: Tally::default(),
-            profiler: None,
-            obs: None,
-            monitor: None,
+            ledger: Ledger::default(),
             _l: PhantomData,
         };
         sim.init_with(|_, _, _| (1.0, [0.0; 3]));
@@ -524,42 +522,9 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
 
     /// Record every kernel launch into a shared profiler (the substrate's
     /// nvvp/rocprof analog): per-kernel byte counts and B/F.
-    pub fn with_profiler(mut self, p: std::sync::Arc<gpu_sim::profiler::Profiler>) -> Self {
-        self.profiler = Some(p);
+    pub fn with_profiler(mut self, p: Arc<gpu_sim::profiler::Profiler>) -> Self {
+        self.ledger.profiler = Some(p);
         self
-    }
-
-    /// Attach an observability hub: the driver emits a `step` span per
-    /// timestep and the device nests kernel spans and publishes launch
-    /// metrics under it.
-    pub fn with_obs(mut self, obs: std::sync::Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
-    }
-
-    /// In-place [`StSim::with_obs`] (the `Simulation` trait surface).
-    pub fn set_obs(&mut self, obs: std::sync::Arc<obs::Obs>) {
-        self.gpu.set_obs(obs.clone());
-        self.obs = Some(obs);
-    }
-
-    /// Attach (or clear) the fleet trace context — the job identity the
-    /// serve scheduler assigned this simulation. Step and kernel spans
-    /// carry its args from now on; stepping and tallies are unaffected.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.gpu.set_trace_ctx(ctx);
-    }
-
-    /// Attach a physics monitor sampling the macroscopic fields every
-    /// `cfg.cadence` steps (mass/momentum/max-|u|/NaN guards).
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The attached physics monitor, if any.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
     }
 
     /// Set the thread-block size of the bulk kernel.
@@ -616,20 +581,61 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
                 self.f[self.cur].set(i * n + idx, feq[i]);
             }
         }
-        self.steps = 0;
-        self.accum = Tally::default();
+        self.shell.reset_steps();
+        self.ledger.accum = Tally::default();
     }
 
-    /// Advance one timestep (bulk launch + boundary launch).
-    pub fn step(&mut self) {
-        let obs = self.obs.clone();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.steps.to_string())];
-            if let Some(ctx) = self.gpu.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
+    /// Attach a deterministic fault plan to the device and both lattices
+    /// (see `gpu_sim::FaultPlan`): injected write corruption and launch
+    /// aborts become live, with unchanged traffic accounting.
+    pub fn with_fault_plan(mut self, plan: Arc<gpu_sim::FaultPlan>) -> Self {
+        self.gpu.set_fault_plan(plan.clone());
+        self.f[0].set_fault_plan(plan.clone());
+        self.f[1].set_fault_plan(plan);
+        self
+    }
+
+    /// Aggregate traffic over all steps so far.
+    pub fn traffic(&self) -> Tally {
+        self.ledger.accum
+    }
+
+    /// Measured DRAM bytes per fluid lattice update (Table 2's B/F).
+    pub fn measured_bpf(&self) -> f64 {
+        let updates = self.geom.fluid_count() as u64 * self.shell.steps();
+        self.ledger.bytes_per_update(updates)
+    }
+
+    /// Distribution at a node (current state).
+    pub fn f_at(&self, x: usize, y: usize, z: usize) -> Vec<f64> {
+        let n = self.geom.len();
+        let idx = self.geom.idx(x, y, z);
+        (0..L::Q)
+            .map(|i| self.f[self.cur].get(i * n + idx))
+            .collect()
+    }
+
+    /// Moments at a node (post-collision state).
+    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
+        Moments::from_f::<L>(&self.f_at(x, y, z))
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> Driver for StSim<L, C> {
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn geom(&self) -> &Geometry {
+        &self.geom
+    }
+
+    /// Bulk launch, then the inlet/outlet launch.
+    fn advance(&mut self) -> Result<(), StepError> {
         let n = self.geom.len();
         let (src, dst) = (&self.f[self.cur], &self.f[self.cur ^ 1]);
         let blocks = n.div_ceil(self.block_size);
@@ -666,10 +672,7 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
                 },
             ),
         };
-        self.accum.merge(&stats.tally);
-        if let Some(p) = &self.profiler {
-            p.record(&stats, self.geom.fluid_count() as u64);
-        }
+        self.ledger.record(&stats, || self.geom.fluid_count());
 
         if !self.boundary.is_empty() {
             let bblocks = self.boundary.len().div_ceil(self.block_size);
@@ -684,134 +687,13 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
                     _l: PhantomData,
                 },
             );
-            self.accum.merge(&stats.tally);
-            if let Some(p) = &self.profiler {
-                p.record(&stats, self.boundary.len() as u64);
-            }
+            self.ledger.record(&stats, || self.boundary.len());
         }
-
         self.cur ^= 1;
-        self.steps += 1;
-        self.sample_monitor();
+        Ok(())
     }
 
-    /// Cadence-gated monitor sampling: field extraction (the expensive
-    /// part) only happens on sampling steps.
-    fn sample_monitor(&mut self) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.steps)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.steps, &rho, &u);
-        if let Some(o) = &self.obs {
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", "st")], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", "st")], s.max_u);
-            if s.nonfinite > 0 {
-                o.tracer.instant(
-                    "monitor",
-                    "nonfinite",
-                    &[
-                        ("step", s.step.to_string()),
-                        ("count", s.nonfinite.to_string()),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Advance `steps` timesteps, then force a final monitor sample so a
-    /// run that ends off the sampling cadence still has its tail checked.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Force a final monitor sample at the current step (no-op without a
-    /// monitor, or when the last step was already sampled). The flushed
-    /// sample is published to the hub like any cadence sample, so monitor
-    /// series stay gap-free across run ends *and* fleet evictions.
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.steps, &rho, &u);
-        if let (Some(s), Some(o)) = (s, &self.obs) {
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", "st")], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", "st")], s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Mutable access to the physics monitor (recovery rollback).
-    pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
-        self.monitor.as_mut()
-    }
-
-    /// Attach a deterministic fault plan to the device and both lattices
-    /// (see `gpu_sim::FaultPlan`): injected write corruption and launch
-    /// aborts become live, with unchanged traffic accounting.
-    pub fn with_fault_plan(mut self, plan: std::sync::Arc<gpu_sim::FaultPlan>) -> Self {
-        self.gpu.set_fault_plan(plan.clone());
-        self.f[0].set_fault_plan(plan.clone());
-        self.f[1].set_fault_plan(plan);
-        self
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Domain geometry.
-    pub fn geom(&self) -> &Geometry {
-        &self.geom
-    }
-
-    /// Aggregate traffic over all steps so far.
-    pub fn traffic(&self) -> Tally {
-        self.accum
-    }
-
-    /// Measured DRAM bytes per fluid lattice update (Table 2's B/F).
-    pub fn measured_bpf(&self) -> f64 {
-        let updates = self.geom.fluid_count() as u64 * self.steps;
-        if updates == 0 {
-            return 0.0;
-        }
-        self.accum.dram_bytes() as f64 / updates as f64
-    }
-
-    /// Device-memory footprint of the two lattices.
-    pub fn footprint_bytes(&self) -> usize {
-        self.f[0].size_bytes() + self.f[1].size_bytes()
-    }
-
-    /// Distribution at a node (current state).
-    pub fn f_at(&self, x: usize, y: usize, z: usize) -> Vec<f64> {
-        let n = self.geom.len();
-        let idx = self.geom.idx(x, y, z);
-        (0..L::Q)
-            .map(|i| self.f[self.cur].get(i * n + idx))
-            .collect()
-    }
-
-    /// Moments at a node (post-collision state).
-    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
-        Moments::from_f::<L>(&self.f_at(x, y, z))
-    }
-
-    /// Density and velocity fields in one pass over the lattice, without
-    /// the per-node `Vec` of [`StSim::f_at`] (solid nodes report zero).
-    /// This is what the physics monitor samples.
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    fn gather_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
         let n = self.geom.len();
         let buf = &self.f[self.cur];
         let mut rho_out = vec![0.0; n];
@@ -837,72 +719,36 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
         (rho_out, u_out)
     }
 
-    /// Velocity field (solid nodes report zero).
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
+    /// `Q`, the traffic tally, and the current lattice.
+    fn write_state(&self, w: &mut CheckpointWriter) {
+        w.put_u64(L::Q as u64);
+        self.ledger.write(w);
+        w.put_f64s(&self.f[self.cur].snapshot()[..L::Q * self.geom.len()]);
     }
 
-    /// Density field (solid nodes report zero).
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
-    }
-
-    /// FNV-1a fingerprint of the macroscopic fields (bitwise-sensitive; two
-    /// runs match iff their fields are identical to the last bit).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Serialize the full solver state (current lattice, step counter,
-    /// traffic accumulator) as a versioned, checksummed snapshot.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let n = self.geom.len();
-        let mut w = lbm_core::io::CheckpointWriter::new("st");
-        w.put_u64(self.geom.nx as u64)
-            .put_u64(self.geom.ny as u64)
-            .put_u64(self.geom.nz as u64)
-            .put_u64(L::Q as u64)
-            .put_u64(self.steps)
-            .put_u64(self.accum.reads)
-            .put_u64(self.accum.writes)
-            .put_u64(self.accum.bytes_read)
-            .put_u64(self.accum.bytes_written)
-            .put_u64(self.accum.dram_bytes_read)
-            .put_u64(self.accum.l2_read_hits)
-            .put_f64s(&self.f[self.cur].snapshot()[..L::Q * n]);
-        w.finish()
-    }
-
-    /// Restore a [`StSim::checkpoint`] snapshot taken on an identically
-    /// configured simulation. Resuming replays the exact uninterrupted
-    /// trajectory (the update is deterministic and the snapshot is bitwise).
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), lbm_core::io::CheckpointError> {
-        use lbm_core::io::CheckpointReader;
-        let mut r = CheckpointReader::open(bytes, "st")?;
-        r.expect_u64(self.geom.nx as u64, "nx")?;
-        r.expect_u64(self.geom.ny as u64, "ny")?;
-        r.expect_u64(self.geom.nz as u64, "nz")?;
+    /// The snapshot lands in buffer 0 regardless of the saved parity.
+    fn read_state(&mut self, r: &mut CheckpointReader) -> Result<(), CheckpointError> {
         r.expect_u64(L::Q as u64, "Q")?;
-        self.steps = r.take_u64()?;
-        self.accum = Tally {
-            reads: r.take_u64()?,
-            writes: r.take_u64()?,
-            bytes_read: r.take_u64()?,
-            bytes_written: r.take_u64()?,
-            dram_bytes_read: r.take_u64()?,
-            l2_read_hits: r.take_u64()?,
-        };
-        let n = self.geom.len();
-        let f = r.take_f64s(L::Q * n)?;
+        self.ledger.read(r)?;
+        let f = r.take_f64s(L::Q * self.geom.len())?;
         for (i, v) in f.iter().enumerate() {
             self.f[0].set(i, *v);
         }
         self.cur = 0;
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.steps);
-        }
         Ok(())
+    }
+
+    /// The two lattices.
+    fn lattice_bytes(&self) -> usize {
+        self.f[0].size_bytes() + self.f[1].size_bytes()
+    }
+
+    fn attach_obs(&mut self, obs: Arc<obs::Obs>) {
+        self.gpu.set_obs(obs);
+    }
+
+    fn attach_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
+        self.gpu.set_trace_ctx(ctx);
     }
 }
 
@@ -910,6 +756,7 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
 mod tests {
     use super::*;
     use lbm_core::collision::{Bgk, Projective};
+    use lbm_core::Simulation;
     use lbm_core::Solver;
     use lbm_lattice::{D2Q9, D3Q19};
 

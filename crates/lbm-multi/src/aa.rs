@@ -30,7 +30,7 @@
 //! identical with `==`, at both parities.
 
 use crate::decomp::SlabDecomp;
-use crate::recovery::{transfer_with_retry, HaloRetryPolicy};
+use crate::recovery::{link_error_from_step, transfer_with_retry, HaloRetryPolicy};
 use crate::stats::{device_time_s, exchange_time_s, OverlapStats};
 use gpu_sim::interconnect::{LinkError, MultiGpu};
 use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer};
@@ -38,6 +38,7 @@ use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::io::{CheckpointError, CheckpointReader, CheckpointWriter};
 use lbm_core::kernels::{aa_slot, KernelConsts};
+use lbm_core::sim::{Driver, Shell, Simulation, StepError};
 use lbm_gpu::aa::{launch_aa_collide_span, launch_aa_stream_span};
 use lbm_gpu::boundary::boundary_nodes;
 use lbm_lattice::moments::Moments;
@@ -53,22 +54,23 @@ struct AaShard {
     owned_hi: usize,
 }
 
-/// Slab-sharded AA-pattern ST simulation across N simulated devices.
+/// Slab-sharded AA-pattern ST simulation across N simulated devices. Its
+/// checkpoints carry the step parity in the flavor tag, so a restore can
+/// only land on the half of the AA cycle the snapshot was taken at.
 pub struct MultiAaStSim<L: Lattice, C: Collision<L>> {
+    shell: Shell,
     mg: MultiGpu,
     decomp: SlabDecomp,
     shards: Vec<AaShard>,
     collision: C,
     consts: KernelConsts,
     block_size: usize,
-    t: u64,
     /// A stream half-step's post-exchange failed after the launch mutated
     /// the lattice in place; the next `try_step` must finish that exchange
     /// (idempotent: it only reads ghosts and writes edge columns) before
     /// the step can complete.
     post_pending: bool,
     stats: OverlapStats,
-    monitor: Option<obs::PhysicsMonitor>,
     retry: HaloRetryPolicy,
     halo_retries: AtomicU64,
     _l: PhantomData<L>,
@@ -102,16 +104,15 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
             })
             .collect();
         let mut sim = MultiAaStSim {
+            shell: Shell::in_place("multi-aa-st"),
             mg,
             decomp,
             shards,
             consts: KernelConsts::new::<L>(collision.tau()),
             collision,
             block_size: 256,
-            t: 0,
             post_pending: false,
             stats: OverlapStats::default(),
-            monitor: None,
             retry: HaloRetryPolicy::default(),
             halo_retries: AtomicU64::new(0),
             _l: PhantomData,
@@ -154,46 +155,6 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
         self
     }
 
-    /// Attach one observability hub to every device and the link layer.
-    pub fn with_obs(mut self, obs: std::sync::Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
-    }
-
-    /// In-place [`MultiAaStSim::with_obs`] (the `Simulation` trait surface).
-    pub fn set_obs(&mut self, obs: std::sync::Arc<obs::Obs>) {
-        self.mg.set_obs(obs);
-    }
-
-    /// Tag every device's kernel spans (and this driver's step/halo spans)
-    /// with a fleet trace context, or clear it with `None`.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.mg.set_trace_ctx(ctx);
-    }
-
-    /// Device-memory footprint: every shard's single resident lattice —
-    /// half of [`crate::MultiStSim::footprint_bytes`] shard for shard.
-    pub fn footprint_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.a.size_bytes()).sum()
-    }
-
-    /// Attach a physics monitor over the *global* fields every
-    /// `cfg.cadence` steps.
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The attached physics monitor, if any.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
-    }
-
-    /// Mutable access to the physics monitor, if enabled.
-    pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
-        self.monitor.as_mut()
-    }
-
     /// Override the halo-transfer retry policy.
     pub fn with_halo_retry(mut self, policy: HaloRetryPolicy) -> Self {
         self.retry = policy;
@@ -208,24 +169,6 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
             sh.a.set_fault_plan(plan.clone());
         }
         self
-    }
-
-    /// Halo-transfer retries performed so far.
-    pub fn halo_retries(&self) -> u64 {
-        self.halo_retries.load(Ordering::Relaxed)
-    }
-
-    fn sample_monitor(&mut self) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.t)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.t, &rho, &u);
-        if let Some(o) = self.mg.obs() {
-            let labels = [("pattern", "multi-aa-st")];
-            o.metrics.gauge_set("monitor_mass", &labels, s.mass);
-            o.metrics.gauge_set("monitor_max_u", &labels, s.max_u);
-        }
     }
 
     /// Initialize every node — *including ghosts* — from a macroscopic
@@ -250,104 +193,15 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
                 }
             }
         }
-        self.t = 0;
+        self.shell.reset_steps();
         self.post_pending = false;
         self.stats = OverlapStats::default();
     }
 
-    /// Advance one timestep. Panics if a halo transfer fails beyond the
-    /// retry budget; use [`MultiAaStSim::try_step`] for typed link errors.
-    pub fn step(&mut self) {
-        self.try_step()
-            .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
-    }
-
-    /// Advance one timestep, surfacing halo-link failures. A failure in the
-    /// *pre*-exchange leaves no owned state mutated — retrying the whole
-    /// step is safe. A failure in the *post*-exchange arrives after the
-    /// in-place launch, so the step is parked half-done: the next
-    /// `try_step` call finishes the pending exchange (and only then counts
-    /// the step) instead of recomputing over clobbered inputs.
+    /// [`Simulation::try_step`], surfacing the substrate's typed
+    /// [`LinkError`].
     pub fn try_step(&mut self) -> Result<(), LinkError> {
-        let obs = self.mg.obs().cloned();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.t.to_string())];
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
-        if self.post_pending {
-            let transfers = self.exchange(Phase::Post)?;
-            self.post_pending = false;
-            self.stats
-                .record_step(0.0, 0.0, exchange_time_s(&self.mg, &transfers), 0.0);
-            self.t += 1;
-            self.sample_monitor();
-            return Ok(());
-        }
-        let mut launch_bytes = vec![0u64; self.shards.len()];
-        let mut exchange_s = 0.0;
-        if self.t.is_multiple_of(2) {
-            // Stream half-step: pre-exchange, one in-place launch per
-            // shard, post-exchange. Neither exchange can overlap the
-            // launch — it reads and rewrites the cut columns.
-            let mut halo_args = Vec::new();
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut halo_args);
-            }
-            let pre_span = obs
-                .as_ref()
-                .map(|o| o.tracer.span_args("halo", "halo-exchange", &halo_args));
-            let pre = self.exchange(Phase::Pre)?;
-            drop(pre_span);
-            for (r, sh) in self.shards.iter().enumerate() {
-                let stats = launch_aa_stream_span::<L, C>(
-                    self.mg.device(r),
-                    &sh.a,
-                    &sh.geom,
-                    &self.collision,
-                    &self.consts,
-                    self.block_size,
-                    sh.owned_lo,
-                    sh.owned_hi,
-                );
-                launch_bytes[r] += stats.tally.dram_bytes();
-            }
-            let post_span = obs
-                .as_ref()
-                .map(|o| o.tracer.span_args("halo", "halo-exchange", &halo_args));
-            let post = match self.exchange(Phase::Post) {
-                Ok(t) => t,
-                Err(e) => {
-                    self.post_pending = true;
-                    return Err(e);
-                }
-            };
-            drop(post_span);
-            exchange_s = exchange_time_s(&self.mg, &pre) + exchange_time_s(&self.mg, &post);
-        } else {
-            // Collide half-step: node-local, no exchange.
-            for (r, sh) in self.shards.iter().enumerate() {
-                let stats = launch_aa_collide_span::<L, C>(
-                    self.mg.device(r),
-                    &sh.a,
-                    &sh.geom,
-                    &self.collision,
-                    &self.consts,
-                    self.block_size,
-                    sh.owned_lo,
-                    sh.owned_hi,
-                );
-                launch_bytes[r] += stats.tally.dram_bytes();
-            }
-        }
-        let spec = self.mg.spec().clone();
-        let launch_s = device_time_s(&spec, launch_bytes.iter().copied().max().unwrap_or(0));
-        self.stats.record_step(0.0, launch_s, exchange_s, 0.0);
-        self.t += 1;
-        self.sample_monitor();
-        Ok(())
+        Simulation::try_step(self).map_err(link_error_from_step)
     }
 
     /// Run one exchange phase over every cut. Pre copies owned edge
@@ -355,7 +209,7 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
     /// edge columns with the pushing-node guard. Link tallies are recorded
     /// (with bounded retries) before each copy, so a failed transfer moves
     /// no data and a successful retry tallies exactly once.
-    fn exchange(&self, phase: Phase) -> Result<Vec<(usize, usize, u64)>, LinkError> {
+    fn exchange(&self, phase: Phase) -> Result<Vec<(usize, usize, u64)>, StepError> {
         let mut out = Vec::new();
         for tr in self.decomp.halo_transfers() {
             // Ghost side determines which slots cross this cut direction.
@@ -407,45 +261,6 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
         Ok(out)
     }
 
-    /// Advance `steps` timesteps, then flush a final monitor sample.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Force a final monitor sample at the current step.
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.t, &rho, &u);
-        if let (Some(s), Some(o)) = (s, self.mg.obs()) {
-            let labels = [("pattern", "multi-aa-st")];
-            o.metrics.gauge_set("monitor_mass", &labels, s.mass);
-            o.metrics.gauge_set("monitor_max_u", &labels, s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// The global geometry.
-    pub fn geom(&self) -> &Geometry {
-        self.decomp.global()
-    }
-
-    /// Number of devices.
-    pub fn num_devices(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The interconnect (link byte counters, report).
     pub fn interconnect(&self) -> &MultiGpu {
         &self.mg
@@ -480,8 +295,9 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
         let lx = sh.owned_lo + (x - self.decomp.slab(r).x0);
         let ln = sh.geom.len();
         let idx = sh.geom.idx(lx, y, z);
+        let t = self.shell.steps();
         (0..L::Q)
-            .map(|i| sh.a.get(aa_slot::<L>(self.t, i) * ln + idx))
+            .map(|i| sh.a.get(aa_slot::<L>(t, i) * ln + idx))
             .collect()
     }
 
@@ -489,11 +305,92 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
     pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
         Moments::from_f::<L>(&self.f_at(x, y, z))
     }
+}
 
-    /// Global density and velocity fields (solid nodes report zero),
-    /// gathered from the owning shards through the parity slot map.
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+impl<L: Lattice, C: Collision<L>> Driver for MultiAaStSim<L, C> {
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn geom(&self) -> &Geometry {
+        self.decomp.global()
+    }
+
+    /// A failure in the *pre*-exchange leaves no owned state mutated —
+    /// retrying the whole step is safe. A failure in the *post*-exchange
+    /// arrives after the in-place launch, so the step is parked half-done:
+    /// the next call finishes the pending exchange (and only then counts
+    /// the step) instead of recomputing over clobbered inputs.
+    fn advance(&mut self) -> Result<(), StepError> {
+        if self.post_pending {
+            let transfers = self.exchange(Phase::Post)?;
+            self.post_pending = false;
+            self.stats
+                .record_step(0.0, 0.0, exchange_time_s(&self.mg, &transfers), 0.0);
+            return Ok(());
+        }
+        let mut launch_bytes = vec![0u64; self.shards.len()];
+        let mut exchange_s = 0.0;
+        if self.shell.steps().is_multiple_of(2) {
+            // Stream half-step: pre-exchange, one in-place launch per
+            // shard, post-exchange. Neither exchange can overlap the
+            // launch — it reads and rewrites the cut columns.
+            let pre_span = self.shell.span("halo", "halo-exchange");
+            let pre = self.exchange(Phase::Pre)?;
+            drop(pre_span);
+            for (r, sh) in self.shards.iter().enumerate() {
+                let stats = launch_aa_stream_span::<L, C>(
+                    self.mg.device(r),
+                    &sh.a,
+                    &sh.geom,
+                    &self.collision,
+                    &self.consts,
+                    self.block_size,
+                    sh.owned_lo,
+                    sh.owned_hi,
+                );
+                launch_bytes[r] += stats.tally.dram_bytes();
+            }
+            let post_span = self.shell.span("halo", "halo-exchange");
+            let post = match self.exchange(Phase::Post) {
+                Ok(t) => t,
+                Err(e) => {
+                    self.post_pending = true;
+                    return Err(e);
+                }
+            };
+            drop(post_span);
+            exchange_s = exchange_time_s(&self.mg, &pre) + exchange_time_s(&self.mg, &post);
+        } else {
+            // Collide half-step: node-local, no exchange.
+            for (r, sh) in self.shards.iter().enumerate() {
+                let stats = launch_aa_collide_span::<L, C>(
+                    self.mg.device(r),
+                    &sh.a,
+                    &sh.geom,
+                    &self.collision,
+                    &self.consts,
+                    self.block_size,
+                    sh.owned_lo,
+                    sh.owned_hi,
+                );
+                launch_bytes[r] += stats.tally.dram_bytes();
+            }
+        }
+        let spec = self.mg.spec().clone();
+        let launch_s = device_time_s(&spec, launch_bytes.iter().copied().max().unwrap_or(0));
+        self.stats.record_step(0.0, launch_s, exchange_s, 0.0);
+        Ok(())
+    }
+
+    /// Gathered from the owning shards through the parity slot map.
+    fn gather_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
         let g = self.decomp.global();
+        let t = self.shell.steps();
         let mut rho_out = vec![0.0; g.len()];
         let mut u_out = vec![[0.0; 3]; g.len()];
         for (idx, rho_o) in rho_out.iter_mut().enumerate() {
@@ -509,7 +406,7 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
             let mut rho = 0.0;
             let mut j = [0.0f64; 3];
             for i in 0..L::Q {
-                let fi = sh.a.get(aa_slot::<L>(self.t, i) * ln + lidx);
+                let fi = sh.a.get(aa_slot::<L>(t, i) * ln + lidx);
                 let c = L::cf(i);
                 rho += fi;
                 j[0] += c[0] * fi;
@@ -523,90 +420,47 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
         (rho_out, u_out)
     }
 
-    /// Global velocity field (solid nodes report zero).
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
-    }
-
-    /// Global density field (solid nodes report zero).
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
-    }
-
-    /// FNV-1a checksum of the global macroscopic fields (bitwise).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Serialize the full sharded state (ghost columns included). The
-    /// flavor tag carries the step parity, so a restore can only land on
-    /// the half of the AA cycle the snapshot was taken at.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let g = self.decomp.global();
-        let flavor = lbm_core::io::parity_flavor("aa-st-multi", self.t);
-        let mut w = CheckpointWriter::new(&flavor);
-        w.put_u64(g.nx as u64)
-            .put_u64(g.ny as u64)
-            .put_u64(g.nz as u64)
-            .put_u64(L::Q as u64)
-            .put_u64(self.shards.len() as u64)
-            .put_u64(self.t)
-            .put_u64(self.stats.steps)
-            .put_f64(self.stats.boundary_s)
-            .put_f64(self.stats.interior_s)
-            .put_f64(self.stats.exchange_s)
-            .put_f64(self.stats.bc_s)
-            .put_f64(self.stats.hidden_s)
-            .put_f64(self.stats.total_s);
+    /// `Q`, the shard count, the overlap stats, and every shard's lattice
+    /// (ghost columns included).
+    fn write_state(&self, w: &mut CheckpointWriter) {
+        w.put_u64(L::Q as u64).put_u64(self.shards.len() as u64);
+        self.stats.write(w);
         for sh in &self.shards {
             w.put_f64s(&sh.a.snapshot());
         }
-        w.finish()
     }
 
-    /// Restore a [`MultiAaStSim::checkpoint`] snapshot on an identically
-    /// configured simulation. The parity baked into the flavor tag is
-    /// cross-checked against the stored step counter.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let g = self.decomp.global();
-        let (mut r, which) =
-            CheckpointReader::open_any(bytes, &["aa-st-multi+even", "aa-st-multi+odd"])?;
-        r.expect_u64(g.nx as u64, "nx")?;
-        r.expect_u64(g.ny as u64, "ny")?;
-        r.expect_u64(g.nz as u64, "nz")?;
+    fn read_state(&mut self, r: &mut CheckpointReader) -> Result<(), CheckpointError> {
         r.expect_u64(L::Q as u64, "Q")?;
         r.expect_u64(self.shards.len() as u64, "shard count")?;
-        let t = r.take_u64()?;
-        if t % 2 != which as u64 {
-            return Err(CheckpointError::Mismatch(format!(
-                "flavor parity ({}) disagrees with stored step counter {t}",
-                if which == 0 { "even" } else { "odd" }
-            )));
-        }
-        let stats = OverlapStats {
-            steps: r.take_u64()?,
-            boundary_s: r.take_f64()?,
-            interior_s: r.take_f64()?,
-            exchange_s: r.take_f64()?,
-            bc_s: r.take_f64()?,
-            hidden_s: r.take_f64()?,
-            total_s: r.take_f64()?,
-        };
+        let stats = OverlapStats::read(r)?;
         for sh in &mut self.shards {
-            let n = L::Q * sh.geom.len();
-            let data = r.take_f64s(n)?;
+            let data = r.take_f64s(L::Q * sh.geom.len())?;
             for (i, v) in data.iter().enumerate() {
                 sh.a.set(i, *v);
             }
         }
-        self.t = t;
         self.stats = stats;
         self.post_pending = false;
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.t);
-        }
         Ok(())
+    }
+
+    /// Every shard's single resident lattice — half of
+    /// [`crate::MultiStSim`]'s footprint shard for shard.
+    fn lattice_bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.a.size_bytes()).sum()
+    }
+
+    fn attach_obs(&mut self, obs: Arc<obs::Obs>) {
+        self.mg.set_obs(obs);
+    }
+
+    fn attach_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
+        self.mg.set_trace_ctx(ctx);
+    }
+
+    fn link_retries(&self) -> u64 {
+        self.halo_retries.load(Ordering::Relaxed)
     }
 }
 

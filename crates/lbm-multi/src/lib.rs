@@ -27,7 +27,7 @@
 //!   not the bounding-box cross-section.
 //! * [`recovery`] — checkpoint/rollback recovery loop and bounded
 //!   halo-retry policy, driving any [`lbm_core::Simulation`] (the shared
-//!   trait implemented by all six drivers — see [`sim_impls`]).
+//!   trait every driver gets from the `lbm_core::sim` driver shell).
 //! * [`stats`] — the two-phase overlap schedule's timing model
 //!   (`t_step = t_boundary + max(t_interior, t_exchange) + t_bc`) and
 //!   overlap efficiency.
@@ -42,7 +42,6 @@ pub mod decomp;
 pub mod mr2d;
 pub mod mr3d;
 pub mod recovery;
-pub mod sim_impls;
 pub mod sparse;
 pub mod st;
 pub mod stats;

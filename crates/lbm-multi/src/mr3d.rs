@@ -8,7 +8,7 @@
 
 use crate::decomp::SlabDecomp;
 use crate::mr2d::MrShard;
-use crate::recovery::{transfer_with_retry, HaloRetryPolicy};
+use crate::recovery::{link_error_from_step, transfer_with_retry, HaloRetryPolicy};
 use crate::st::check_boundary_widths;
 use crate::stats::{device_time_s, exchange_time_s, OverlapStats};
 use gpu_sim::interconnect::{LinkError, MultiGpu};
@@ -16,6 +16,7 @@ use gpu_sim::{DeviceSpec, FaultPlan};
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::io::{CheckpointError, CheckpointReader, CheckpointWriter};
 use lbm_core::kernels::KernelConsts;
+use lbm_core::sim::{Driver, Shell, Simulation, StepError};
 use lbm_gpu::boundary::boundary_nodes;
 use lbm_gpu::moment_lattice::MomentLattice;
 use lbm_gpu::mr2d::launch_mr_bc;
@@ -45,15 +46,14 @@ struct Mr3dShard {
 
 /// Slab-sharded 3D MR simulation (MR-P or MR-R) across N devices.
 pub struct MultiMrSim3D<L: Lattice> {
+    shell: Shell,
     mg: MultiGpu,
     decomp: SlabDecomp,
     shards: Vec<Mr3dShard>,
     scheme: MrScheme,
     tau: f64,
     consts: KernelConsts,
-    t: u64,
     stats: OverlapStats,
-    monitor: Option<obs::PhysicsMonitor>,
     retry: HaloRetryPolicy,
     halo_retries: AtomicU64,
     _l: PhantomData<L>,
@@ -129,15 +129,14 @@ impl<L: Lattice> MultiMrSim3D<L> {
             })
             .collect();
         let mut sim = MultiMrSim3D {
+            shell: Shell::new("multi-mr3d"),
             mg,
             decomp,
             shards,
             scheme,
             tau,
             consts: KernelConsts::new::<L>(tau),
-            t: 0,
             stats: OverlapStats::default(),
-            monitor: None,
             retry: HaloRetryPolicy::default(),
             halo_retries: AtomicU64::new(0),
             _l: PhantomData,
@@ -173,48 +172,6 @@ impl<L: Lattice> MultiMrSim3D<L> {
         self
     }
 
-    /// Attach an observability hub (tracer + metrics) to every device and
-    /// the interconnect.
-    pub fn with_obs(mut self, obs: std::sync::Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
-    }
-
-    /// In-place [`MultiMrSim3D::with_obs`] (the `Simulation` trait surface).
-    pub fn set_obs(&mut self, obs: std::sync::Arc<obs::Obs>) {
-        self.mg.set_obs(obs);
-    }
-
-    /// Tag every device's kernel spans (and this driver's step/halo spans)
-    /// with a fleet trace context, or clear it with `None`.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.mg.set_trace_ctx(ctx);
-    }
-
-    /// Device-memory footprint of every shard's resident moment lattices.
-    pub fn footprint_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.mom[0].size_bytes() + s.mom[1].size_bytes())
-            .sum()
-    }
-
-    /// Enable per-step physics monitoring (mass, momentum, max |u|, NaN guard).
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The physics monitor, if enabled.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
-    }
-
-    /// Mutable access to the physics monitor, if enabled.
-    pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
-        self.monitor.as_mut()
-    }
-
     /// Override the halo-transfer retry policy.
     pub fn with_halo_retry(mut self, policy: HaloRetryPolicy) -> Self {
         self.retry = policy;
@@ -230,11 +187,6 @@ impl<L: Lattice> MultiMrSim3D<L> {
             sh.mom[1].set_fault_plan(plan.clone());
         }
         self
-    }
-
-    /// Halo-transfer retries performed so far.
-    pub fn halo_retries(&self) -> u64 {
-        self.halo_retries.load(Ordering::Relaxed)
     }
 
     /// Initialize every node — including ghosts — from a macroscopic field
@@ -258,121 +210,22 @@ impl<L: Lattice> MultiMrSim3D<L> {
                 sh.mom[0].set_moments::<L>(0, idx, &m);
             }
         }
-        self.t = 0;
+        self.shell.reset_steps();
         self.stats = OverlapStats::default();
     }
 
-    /// Advance one timestep with the two-phase overlap schedule. Panics if
-    /// a halo transfer fails beyond the retry budget; use
-    /// [`MultiMrSim3D::try_step`] for typed link errors.
-    pub fn step(&mut self) {
-        self.try_step()
-            .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
-    }
-
-    /// Advance one timestep, surfacing halo-link failures. On `Err` no
-    /// state has advanced (`t` and the buffer parity are unchanged) — the
-    /// completed edge-strip launches are idempotent and a later retry of
-    /// the whole step recomputes them bitwise-identically.
+    /// [`Simulation::try_step`], surfacing the substrate's typed
+    /// [`LinkError`].
     pub fn try_step(&mut self) -> Result<(), LinkError> {
-        let obs = self.mg.obs().cloned();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.t.to_string())];
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
-        let n_sh = self.shards.len();
-        let mut boundary_bytes = vec![0u64; n_sh];
-        let mut interior_bytes = vec![0u64; n_sh];
-        let mut bc_bytes = vec![0u64; n_sh];
-
-        for (r, sh) in self.shards.iter().enumerate() {
-            if !sh.strip_cols.is_empty() {
-                let stats = launch_mr3d_columns::<L>(
-                    self.mg.device(r),
-                    &sh.mom[sh.cur],
-                    &sh.mom[sh.cur ^ 1],
-                    &sh.geom,
-                    &self.scheme,
-                    &self.consts,
-                    &sh.bulk,
-                    self.t,
-                    sh.wx,
-                    sh.wy,
-                    &sh.strip_cols,
-                );
-                boundary_bytes[r] += stats.tally.dram_bytes();
-            }
-        }
-
-        let _halo_span = obs.as_ref().map(|o| {
-            let mut args = Vec::new();
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("halo", "halo-exchange", &args)
-        });
-        let transfers = self.exchange()?;
-        drop(_halo_span);
-
-        for (r, sh) in self.shards.iter().enumerate() {
-            if !sh.interior_cols.is_empty() {
-                let stats = launch_mr3d_columns::<L>(
-                    self.mg.device(r),
-                    &sh.mom[sh.cur],
-                    &sh.mom[sh.cur ^ 1],
-                    &sh.geom,
-                    &self.scheme,
-                    &self.consts,
-                    &sh.bulk,
-                    self.t,
-                    sh.wx,
-                    sh.wy,
-                    &sh.interior_cols,
-                );
-                interior_bytes[r] += stats.tally.dram_bytes();
-            }
-        }
-
-        for (r, sh) in self.shards.iter().enumerate() {
-            if !sh.boundary.is_empty() {
-                let stats = launch_mr_bc::<L>(
-                    self.mg.device(r),
-                    &sh.mom[sh.cur ^ 1],
-                    &sh.geom,
-                    self.tau,
-                    self.t + 1,
-                    &sh.boundary,
-                    64,
-                );
-                bc_bytes[r] += stats.tally.dram_bytes();
-            }
-        }
-
-        let spec = self.mg.spec().clone();
-        let max_t = |b: &[u64]| device_time_s(&spec, b.iter().copied().max().unwrap_or(0));
-        self.stats.record_step(
-            max_t(&boundary_bytes),
-            max_t(&interior_bytes),
-            exchange_time_s(&self.mg, &transfers),
-            max_t(&bc_bytes),
-        );
-
-        for sh in &mut self.shards {
-            sh.cur ^= 1;
-        }
-        self.t += 1;
-        self.sample_monitor("multi-mr3d");
-        Ok(())
+        Simulation::try_step(self).map_err(link_error_from_step)
     }
 
     /// Moment-space halo exchange across every cut. The link tally is
     /// recorded (with bounded retries on transient link faults) *before*
     /// the copy: a failed transfer moves no data and records no bytes, so
     /// a successful retry tallies exactly once.
-    fn exchange(&self) -> Result<Vec<(usize, usize, u64)>, LinkError> {
+    fn exchange(&self) -> Result<Vec<(usize, usize, u64)>, StepError> {
+        let t_next = self.shell.steps() + 1;
         let mut out = Vec::new();
         for tr in self.decomp.halo_transfers() {
             let bytes = (self.decomp.column_fluid_count(tr.gx) * L::M * 8) as u64;
@@ -393,54 +246,13 @@ impl<L: Lattice> MultiMrSim3D<L> {
                     }
                     let si = src.geom.idx(tr.src_lx, y, z);
                     let di = dst.geom.idx(tr.dst_lx, y, z);
-                    let m = sm.get_moments::<L>(self.t + 1, si);
-                    dm.set_moments::<L>(self.t + 1, di, &m);
+                    let m = sm.get_moments::<L>(t_next, si);
+                    dm.set_moments::<L>(t_next, di, &m);
                 }
             }
             out.push((tr.from, tr.to, bytes));
         }
         Ok(out)
-    }
-
-    /// Advance `steps` timesteps, then flush a final monitor sample if the
-    /// last step fell between cadence points.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Force a final monitor sample at the current step (no-op when the
-    /// monitor is absent or already sampled this step).
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.t, &rho, &u);
-        if let (Some(s), Some(o)) = (s, self.mg.obs()) {
-            let labels = [("pattern", "multi-mr3d")];
-            o.metrics.gauge_set("monitor_mass", &labels, s.mass);
-            o.metrics.gauge_set("monitor_max_u", &labels, s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// The global geometry.
-    pub fn geom(&self) -> &Geometry {
-        self.decomp.global()
-    }
-
-    /// Number of devices.
-    pub fn num_devices(&self) -> usize {
-        self.shards.len()
     }
 
     /// The interconnect (link byte counters, report).
@@ -463,11 +275,107 @@ impl<L: Lattice> MultiMrSim3D<L> {
         let r = self.decomp.owner_of(x);
         let sh = &self.shards[r];
         let lx = self.decomp.slab(r).owned_lo() + (x - self.decomp.slab(r).x0);
-        sh.mom[sh.cur].get_moments::<L>(self.t, sh.geom.idx(lx, y, z))
+        sh.mom[sh.cur].get_moments::<L>(self.shell.steps(), sh.geom.idx(lx, y, z))
+    }
+}
+
+impl<L: Lattice> Driver for MultiMrSim3D<L> {
+    fn shell(&self) -> &Shell {
+        &self.shell
     }
 
-    /// Global density and velocity in one pass (solid nodes report zero).
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn geom(&self) -> &Geometry {
+        self.decomp.global()
+    }
+
+    /// The two-phase overlap schedule. On `Err` no state has advanced
+    /// (the buffer parity is unchanged) — the
+    /// completed edge-strip launches are idempotent and a later retry of
+    /// the whole step recomputes them bitwise-identically.
+    fn advance(&mut self) -> Result<(), StepError> {
+        let t = self.shell.steps();
+        let n_sh = self.shards.len();
+        let mut boundary_bytes = vec![0u64; n_sh];
+        let mut interior_bytes = vec![0u64; n_sh];
+        let mut bc_bytes = vec![0u64; n_sh];
+
+        for (r, sh) in self.shards.iter().enumerate() {
+            if !sh.strip_cols.is_empty() {
+                let stats = launch_mr3d_columns::<L>(
+                    self.mg.device(r),
+                    &sh.mom[sh.cur],
+                    &sh.mom[sh.cur ^ 1],
+                    &sh.geom,
+                    &self.scheme,
+                    &self.consts,
+                    &sh.bulk,
+                    t,
+                    sh.wx,
+                    sh.wy,
+                    &sh.strip_cols,
+                );
+                boundary_bytes[r] += stats.tally.dram_bytes();
+            }
+        }
+
+        let halo_span = self.shell.span("halo", "halo-exchange");
+        let transfers = self.exchange()?;
+        drop(halo_span);
+
+        for (r, sh) in self.shards.iter().enumerate() {
+            if !sh.interior_cols.is_empty() {
+                let stats = launch_mr3d_columns::<L>(
+                    self.mg.device(r),
+                    &sh.mom[sh.cur],
+                    &sh.mom[sh.cur ^ 1],
+                    &sh.geom,
+                    &self.scheme,
+                    &self.consts,
+                    &sh.bulk,
+                    t,
+                    sh.wx,
+                    sh.wy,
+                    &sh.interior_cols,
+                );
+                interior_bytes[r] += stats.tally.dram_bytes();
+            }
+        }
+
+        for (r, sh) in self.shards.iter().enumerate() {
+            if !sh.boundary.is_empty() {
+                let stats = launch_mr_bc::<L>(
+                    self.mg.device(r),
+                    &sh.mom[sh.cur ^ 1],
+                    &sh.geom,
+                    self.tau,
+                    t + 1,
+                    &sh.boundary,
+                    64,
+                );
+                bc_bytes[r] += stats.tally.dram_bytes();
+            }
+        }
+
+        let spec = self.mg.spec().clone();
+        let max_t = |b: &[u64]| device_time_s(&spec, b.iter().copied().max().unwrap_or(0));
+        self.stats.record_step(
+            max_t(&boundary_bytes),
+            max_t(&interior_bytes),
+            exchange_time_s(&self.mg, &transfers),
+            max_t(&bc_bytes),
+        );
+
+        for sh in &mut self.shards {
+            sh.cur ^= 1;
+        }
+        Ok(())
+    }
+
+    fn gather_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
         let g = self.decomp.global();
         let mut rho = vec![0.0; g.len()];
         let mut u = vec![[0.0; 3]; g.len()];
@@ -482,92 +390,50 @@ impl<L: Lattice> MultiMrSim3D<L> {
         (rho, u)
     }
 
-    fn sample_monitor(&mut self, pattern: &str) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.t)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.t, &rho, &u);
-        if let Some(o) = self.mg.obs() {
-            let labels = [("pattern", pattern)];
-            o.metrics.gauge_set("monitor_mass", &labels, s.mass);
-            o.metrics.gauge_set("monitor_max_u", &labels, s.max_u);
-        }
-    }
-
-    /// Global velocity field (solid nodes report zero).
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
-    }
-
-    /// Global density field (solid nodes report zero).
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
-    }
-
-    /// FNV-1a checksum of the global macroscopic fields (bitwise).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Serialize the full sharded state: dimensions, timestep, overlap
-    /// stats, and every shard's current moment lattice (ghost columns
-    /// included, so no post-restore exchange is needed).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let g = self.decomp.global();
-        let mut w = CheckpointWriter::new("multi-mr3d");
-        w.put_u64(g.nx as u64)
-            .put_u64(g.ny as u64)
-            .put_u64(g.nz as u64)
-            .put_u64(L::M as u64)
-            .put_u64(self.shards.len() as u64)
-            .put_u64(self.t)
-            .put_u64(self.stats.steps)
-            .put_f64(self.stats.boundary_s)
-            .put_f64(self.stats.interior_s)
-            .put_f64(self.stats.exchange_s)
-            .put_f64(self.stats.bc_s)
-            .put_f64(self.stats.hidden_s)
-            .put_f64(self.stats.total_s);
+    /// `M`, the shard count, the overlap stats, and every shard's current
+    /// moment lattice (ghost columns included, so no post-restore exchange
+    /// is needed).
+    fn write_state(&self, w: &mut CheckpointWriter) {
+        w.put_u64(L::M as u64).put_u64(self.shards.len() as u64);
+        self.stats.write(w);
         for sh in &self.shards {
             w.put_f64s(&sh.mom[sh.cur].host_snapshot());
         }
-        w.finish()
     }
 
-    /// Restore a snapshot taken by [`MultiMrSim3D::checkpoint`] on an
-    /// identically configured simulation. Bitwise: the restored state
-    /// continues exactly as the original would have (shift-0 lattices make
-    /// the slot layout timestep-independent, so the snapshot lands in
-    /// buffer 0 regardless of the saved parity).
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let g = self.decomp.global();
-        let mut r = CheckpointReader::open(bytes, "multi-mr3d")?;
-        r.expect_u64(g.nx as u64, "nx")?;
-        r.expect_u64(g.ny as u64, "ny")?;
-        r.expect_u64(g.nz as u64, "nz")?;
+    /// Bitwise: shift-0 lattices make the slot layout
+    /// timestep-independent, so the snapshot lands in buffer 0 regardless
+    /// of the saved parity.
+    fn read_state(&mut self, r: &mut CheckpointReader) -> Result<(), CheckpointError> {
         r.expect_u64(L::M as u64, "M")?;
         r.expect_u64(self.shards.len() as u64, "shard count")?;
-        self.t = r.take_u64()?;
-        self.stats = OverlapStats {
-            steps: r.take_u64()?,
-            boundary_s: r.take_f64()?,
-            interior_s: r.take_f64()?,
-            exchange_s: r.take_f64()?,
-            bc_s: r.take_f64()?,
-            hidden_s: r.take_f64()?,
-            total_s: r.take_f64()?,
-        };
+        self.stats = OverlapStats::read(r)?;
         for sh in &mut self.shards {
             let data = r.take_f64s(sh.mom[0].raw_len())?;
             sh.mom[0].host_restore(&data);
             sh.cur = 0;
         }
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.t);
-        }
         Ok(())
+    }
+
+    /// Every shard's resident moment lattices.
+    fn lattice_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.mom[0].size_bytes() + s.mom[1].size_bytes())
+            .sum()
+    }
+
+    fn attach_obs(&mut self, obs: Arc<obs::Obs>) {
+        self.mg.set_obs(obs);
+    }
+
+    fn attach_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
+        self.mg.set_trace_ctx(ctx);
+    }
+
+    fn link_retries(&self) -> u64 {
+        self.halo_retries.load(Ordering::Relaxed)
     }
 }
 

@@ -46,6 +46,42 @@ impl Default for HaloRetryPolicy {
     }
 }
 
+/// Mirror a substrate [`LinkError`] into the core [`StepError`].
+///
+/// A free function rather than `From`: both types live in other crates, so
+/// the orphan rule forbids the impl.
+pub fn step_error_from_link(e: LinkError) -> StepError {
+    match e {
+        LinkError::Down {
+            from,
+            to,
+            permanent,
+        } => StepError::Link {
+            from,
+            to,
+            permanent,
+        },
+        LinkError::NoRoute { from, to } => StepError::NoRoute { from, to },
+    }
+}
+
+/// The inverse of [`step_error_from_link`]: the sharded drivers' inherent
+/// `try_step` reports the substrate's own error type.
+pub(crate) fn link_error_from_step(e: StepError) -> LinkError {
+    match e {
+        StepError::Link {
+            from,
+            to,
+            permanent,
+        } => LinkError::Down {
+            from,
+            to,
+            permanent,
+        },
+        StepError::NoRoute { from, to } => LinkError::NoRoute { from, to },
+    }
+}
+
 /// Record one halo transfer with bounded retries. Transient link failures
 /// back off (capped exponential) and retry; a permanent failure or missing
 /// route is surfaced immediately. A failed attempt records zero bytes (the
@@ -58,7 +94,7 @@ pub(crate) fn transfer_with_retry(
     bytes: u64,
     policy: &HaloRetryPolicy,
     retries: &AtomicU64,
-) -> Result<(), LinkError> {
+) -> Result<(), StepError> {
     assert!(policy.max_attempts >= 1, "at least one attempt is required");
     let mut failures = 0u32;
     loop {
@@ -70,12 +106,12 @@ pub(crate) fn transfer_with_retry(
                     permanent: true, ..
                 }),
             ) => {
-                return Err(e);
+                return Err(step_error_from_link(e));
             }
             Err(e) => {
                 failures += 1;
                 if failures >= policy.max_attempts {
-                    return Err(e);
+                    return Err(step_error_from_link(e));
                 }
                 retries.fetch_add(1, Ordering::Relaxed);
                 if let Some(o) = mg.obs() {
@@ -281,4 +317,30 @@ pub fn run_with_recovery<S: Simulation + ?Sized>(
     sim.finish_monitor();
     stats.halo_retries = sim.halo_retries() - base_retries;
     Ok(stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The sharded drivers' inherent `try_step` reports exactly the link
+    /// error the shell saw.
+    #[test]
+    fn link_errors_round_trip_through_step_error() {
+        for e in [
+            LinkError::Down {
+                from: 0,
+                to: 1,
+                permanent: true,
+            },
+            LinkError::Down {
+                from: 1,
+                to: 2,
+                permanent: false,
+            },
+            LinkError::NoRoute { from: 2, to: 0 },
+        ] {
+            assert_eq!(link_error_from_step(step_error_from_link(e.clone())), e);
+        }
+    }
 }

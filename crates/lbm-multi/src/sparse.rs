@@ -25,12 +25,13 @@
 //! are *bitwise* identical to their single-device counterparts.
 
 use crate::decomp::SlabDecomp;
-use crate::recovery::{transfer_with_retry, HaloRetryPolicy};
+use crate::recovery::{link_error_from_step, transfer_with_retry, HaloRetryPolicy};
 use gpu_sim::interconnect::{LinkError, MultiGpu};
 use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer};
 use lbm_core::collision::Collision;
 use lbm_core::geometry::Geometry;
 use lbm_core::io::{CheckpointError, CheckpointReader, CheckpointWriter};
+use lbm_core::sim::{Driver, Shell, Simulation, StepError};
 use lbm_gpu::scheme::MrScheme;
 use lbm_gpu::sparse::{
     build_neighbor_table, launch_sparse_st, validate_sparse_geometry, FluidIndex, SparseBuildError,
@@ -101,7 +102,7 @@ fn exchange_tiled(
     dpn: usize,
     retry: &HaloRetryPolicy,
     retries: &AtomicU64,
-) -> Result<(), LinkError> {
+) -> Result<(), StepError> {
     for tr in decomp.halo_transfers() {
         let (src, dst) = (&shards[tr.from], &shards[tr.to]);
         let (snf, dnf) = (src.index.len(), dst.index.len());
@@ -145,193 +146,60 @@ fn locate(
     (r, sh.index.compact[sh.geom.idx(lx, y, z)])
 }
 
-macro_rules! sparse_multi_common {
-    ($name:ident, $pattern:literal, $dpn:expr) => {
-        /// Limit each device's CPU worker threads.
-        pub fn with_cpu_threads(mut self, n: usize) -> Self {
-            self.mg = self.mg.with_cpu_threads(n);
-            self
-        }
+/// Route a fault plan through every device, every shard's state buffers,
+/// and the interconnect.
+fn set_fault_plan(mg: &mut MultiGpu, shards: &mut [SparseShard], plan: Arc<FaultPlan>) {
+    mg.set_fault_plan(plan.clone());
+    for sh in shards {
+        sh.bufs[0].set_fault_plan(plan.clone());
+        sh.bufs[1].set_fault_plan(plan.clone());
+    }
+}
 
-        /// Override the minimum launch size dispatched to the worker pool;
-        /// `0` forces pooling for every multi-block launch.
-        pub fn with_parallel_threshold(mut self, items: usize) -> Self {
-            self.mg = self.mg.with_parallel_threshold(items);
-            self
-        }
+/// Device bytes of every shard's compacted buffers and link table.
+fn shard_bytes(shards: &[SparseShard]) -> usize {
+    shards
+        .iter()
+        .map(|s| s.bufs[0].size_bytes() + s.bufs[1].size_bytes() + s.table.size_bytes())
+        .sum()
+}
 
-        /// Mirror link traffic into a shared profiler.
-        pub fn with_profiler(mut self, p: Arc<gpu_sim::profiler::Profiler>) -> Self {
-            self.mg = self.mg.with_profiler(p);
-            self
-        }
+/// Append `dpn` (doubles per node), the shard count, and every shard's
+/// current compacted buffer (ghost nodes included, so no post-restore
+/// exchange is needed).
+fn write_shards(w: &mut CheckpointWriter, shards: &[SparseShard], dpn: usize) {
+    w.put_u64(dpn as u64).put_u64(shards.len() as u64);
+    for sh in shards {
+        w.put_f64s(&sh.bufs[sh.cur].snapshot());
+    }
+}
 
-        /// Attach one observability hub to every device and the link layer.
-        pub fn with_obs(mut self, obs: Arc<obs::Obs>) -> Self {
-            self.set_obs(obs);
-            self
+/// Read back what [`write_shards`] appended; bitwise, and the snapshot
+/// lands in buffer 0 regardless of the saved parity.
+fn read_shards(
+    r: &mut CheckpointReader,
+    shards: &mut [SparseShard],
+    dpn: usize,
+) -> Result<(), CheckpointError> {
+    r.expect_u64(dpn as u64, "doubles per node")?;
+    r.expect_u64(shards.len() as u64, "shard count")?;
+    for sh in shards {
+        let data = r.take_f64s(sh.bufs[0].len())?;
+        for (i, v) in data.iter().enumerate() {
+            sh.bufs[0].set(i, *v);
         }
-
-        /// In-place [`Self::with_obs`] (the `Simulation` trait surface).
-        pub fn set_obs(&mut self, obs: Arc<obs::Obs>) {
-            self.mg.set_obs(obs);
-        }
-
-        /// Tag every device's kernel spans (and the step/halo spans) with a
-        /// fleet trace context, or clear it with `None`.
-        pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-            self.mg.set_trace_ctx(ctx);
-        }
-
-        /// Attach a physics monitor over the *global* fields.
-        pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-            self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-            self
-        }
-
-        /// The attached physics monitor, if any.
-        pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-            self.monitor.as_ref()
-        }
-
-        /// Mutable access to the physics monitor, if enabled.
-        pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
-            self.monitor.as_mut()
-        }
-
-        /// Override the halo-transfer retry policy.
-        pub fn with_halo_retry(mut self, policy: HaloRetryPolicy) -> Self {
-            self.retry = policy;
-            self
-        }
-
-        /// Attach a deterministic fault plan to every device, every shard's
-        /// state buffers, and the interconnect.
-        pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
-            self.mg.set_fault_plan(plan.clone());
-            for sh in &mut self.shards {
-                sh.bufs[0].set_fault_plan(plan.clone());
-                sh.bufs[1].set_fault_plan(plan.clone());
-            }
-            self
-        }
-
-        /// Halo-transfer retries performed so far.
-        pub fn halo_retries(&self) -> u64 {
-            self.halo_retries.load(Ordering::Relaxed)
-        }
-
-        /// Monitor/metric pattern label for this driver.
-        pub fn pattern_label(&self) -> &'static str {
-            $pattern
-        }
-
-        /// Advance one timestep. Panics if a halo transfer fails beyond the
-        /// retry budget; use `try_step` for typed link errors.
-        pub fn step(&mut self) {
-            self.try_step()
-                .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
-        }
-
-        /// Advance `steps` timesteps, then flush the monitor.
-        pub fn run(&mut self, steps: usize) {
-            for _ in 0..steps {
-                self.step();
-            }
-            self.finish_monitor();
-        }
-
-        /// Force a final monitor sample at the current step.
-        pub fn finish_monitor(&mut self) {
-            if self.monitor.is_none() {
-                return;
-            }
-            let (rho, u) = self.macro_fields();
-            let s = self.monitor.as_mut().unwrap().finish(self.t, &rho, &u);
-            if let (Some(s), Some(o)) = (s, self.mg.obs()) {
-                let labels = [("pattern", self.pattern_label())];
-                o.metrics.gauge_set("monitor_mass", &labels, s.mass);
-                o.metrics.gauge_set("monitor_max_u", &labels, s.max_u);
-                o.tracer
-                    .instant("monitor", "flush", &[("step", s.step.to_string())]);
-            }
-        }
-
-        /// Cadence-gated monitor sampling over the gathered global fields.
-        fn sample_monitor(&mut self) {
-            if !self.monitor.as_ref().is_some_and(|m| m.due(self.t)) {
-                return;
-            }
-            let (rho, u) = self.macro_fields();
-            let s = self.monitor.as_mut().unwrap().observe(self.t, &rho, &u);
-            if let Some(o) = self.mg.obs() {
-                let labels = [("pattern", self.pattern_label())];
-                o.metrics.gauge_set("monitor_mass", &labels, s.mass);
-                o.metrics.gauge_set("monitor_max_u", &labels, s.max_u);
-            }
-        }
-
-        /// Completed timesteps.
-        pub fn steps(&self) -> u64 {
-            self.t
-        }
-
-        /// The global geometry.
-        pub fn geom(&self) -> &Geometry {
-            self.decomp.global()
-        }
-
-        /// Number of devices.
-        pub fn num_devices(&self) -> usize {
-            self.shards.len()
-        }
-
-        /// The interconnect (link byte counters, report).
-        pub fn interconnect(&self) -> &MultiGpu {
-            &self.mg
-        }
-
-        /// Analytic per-step halo traffic: fluid-like cut-column nodes ×
-        /// state payload — proportional to fluid count, not box volume.
-        pub fn halo_bytes_per_step(&self) -> u64 {
-            (self.decomp.halo_nodes_per_step() * $dpn * 8) as u64
-        }
-
-        /// Device-memory footprint of every shard's compacted buffers and
-        /// link tables.
-        pub fn footprint_bytes(&self) -> usize {
-            self.shards
-                .iter()
-                .map(|s| s.bufs[0].size_bytes() + s.bufs[1].size_bytes() + s.table.size_bytes())
-                .sum()
-        }
-
-        /// Global velocity field (solid nodes report zero).
-        pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-            self.macro_fields().1
-        }
-
-        /// Global density field (solid nodes report zero).
-        pub fn density_field(&self) -> Vec<f64> {
-            self.macro_fields().0
-        }
-
-        /// FNV-1a checksum of the global macroscopic fields (bitwise).
-        pub fn field_checksum(&self) -> u64 {
-            let (rho, u) = self.macro_fields();
-            lbm_core::io::field_checksum(&rho, &u)
-        }
-    };
+        sh.cur = 0;
+    }
+    Ok(())
 }
 
 /// Slab-sharded sparse ST simulation across N simulated devices.
 pub struct MultiSparseStSim<L: Lattice, C: Collision<L>> {
+    shell: Shell,
     mg: MultiGpu,
     decomp: SlabDecomp,
     shards: Vec<SparseShard>,
     collision: C,
-    t: u64,
-    monitor: Option<obs::PhysicsMonitor>,
     retry: HaloRetryPolicy,
     halo_retries: AtomicU64,
     _l: PhantomData<L>,
@@ -366,12 +234,11 @@ impl<L: Lattice, C: Collision<L>> MultiSparseStSim<L, C> {
             .map(|r| build_shard::<L>(&decomp, r, L::Q))
             .collect::<Result<Vec<_>, _>>()?;
         let mut sim = MultiSparseStSim {
+            shell: Shell::new("multi-sparse-st"),
             mg: MultiGpu::ring(device, n),
             decomp,
             shards,
             collision,
-            t: 0,
-            monitor: None,
             retry: HaloRetryPolicy::default(),
             halo_retries: AtomicU64::new(0),
             _l: PhantomData,
@@ -380,7 +247,54 @@ impl<L: Lattice, C: Collision<L>> MultiSparseStSim<L, C> {
         Ok(sim)
     }
 
-    sparse_multi_common!(MultiSparseStSim, "multi-sparse-st", L::Q);
+    /// Limit each device's CPU worker threads.
+    pub fn with_cpu_threads(mut self, n: usize) -> Self {
+        self.mg = self.mg.with_cpu_threads(n);
+        self
+    }
+
+    /// Override the minimum launch size dispatched to the worker pool;
+    /// `0` forces pooling for every multi-block launch.
+    pub fn with_parallel_threshold(mut self, items: usize) -> Self {
+        self.mg = self.mg.with_parallel_threshold(items);
+        self
+    }
+
+    /// Mirror link traffic into a shared profiler.
+    pub fn with_profiler(mut self, p: Arc<gpu_sim::profiler::Profiler>) -> Self {
+        self.mg = self.mg.with_profiler(p);
+        self
+    }
+
+    /// Override the halo-transfer retry policy.
+    pub fn with_halo_retry(mut self, policy: HaloRetryPolicy) -> Self {
+        self.retry = policy;
+        self
+    }
+
+    /// Attach a deterministic fault plan to every device, every shard's
+    /// state buffers, and the interconnect.
+    pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
+        set_fault_plan(&mut self.mg, &mut self.shards, plan);
+        self
+    }
+
+    /// [`Simulation::try_step`], surfacing the substrate's typed
+    /// [`LinkError`].
+    pub fn try_step(&mut self) -> Result<(), LinkError> {
+        Simulation::try_step(self).map_err(link_error_from_step)
+    }
+
+    /// The interconnect (link byte counters, report).
+    pub fn interconnect(&self) -> &MultiGpu {
+        &self.mg
+    }
+
+    /// Analytic per-step halo traffic: fluid-like cut-column nodes ×
+    /// `Q·8` — proportional to fluid count, not box volume.
+    pub fn halo_bytes_per_step(&self) -> u64 {
+        (self.decomp.halo_nodes_per_step() * L::Q * 8) as u64
+    }
 
     /// Initialize every fluid node — *including ghosts* — from a
     /// macroscopic field at **global** coordinates, so ghost columns start
@@ -405,23 +319,28 @@ impl<L: Lattice, C: Collision<L>> MultiSparseStSim<L, C> {
                 }
             }
         }
-        self.t = 0;
+        self.shell.reset_steps();
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> Driver for MultiSparseStSim<L, C> {
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn geom(&self) -> &Geometry {
+        self.decomp.global()
     }
 
     /// Advance one timestep, surfacing halo-link failures. On `Err` no
-    /// state has advanced (`t` and the buffer parity are unchanged) — the
+    /// state has advanced (the buffer parity is unchanged) — the
     /// completed update launches are idempotent and a retried step
     /// recomputes them bitwise-identically.
-    pub fn try_step(&mut self) -> Result<(), LinkError> {
-        let obs = self.mg.obs().cloned();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.t.to_string())];
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
-
+    fn advance(&mut self) -> Result<(), StepError> {
         // Update every shard's owned (active) nodes: read t, write t+1.
         for (r, sh) in self.shards.iter().enumerate() {
             launch_sparse_st::<L, C>(
@@ -435,13 +354,7 @@ impl<L: Lattice, C: Collision<L>> MultiSparseStSim<L, C> {
         }
 
         // Per-tile halo exchange of the freshly computed edge columns.
-        let _halo_span = obs.as_ref().map(|o| {
-            let mut args = Vec::new();
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("halo", "halo-exchange", &args)
-        });
+        let halo_span = self.shell.span("halo", "halo-exchange");
         exchange_tiled(
             &self.mg,
             &self.decomp,
@@ -450,19 +363,15 @@ impl<L: Lattice, C: Collision<L>> MultiSparseStSim<L, C> {
             &self.retry,
             &self.halo_retries,
         )?;
-        drop(_halo_span);
+        drop(halo_span);
 
         for sh in &mut self.shards {
             sh.cur ^= 1;
         }
-        self.t += 1;
-        self.sample_monitor();
         Ok(())
     }
 
-    /// Global density and velocity in one pass over the owning shards
-    /// (solid nodes report zero).
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    fn gather_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
         let g = self.decomp.global();
         let mut rho_out = vec![0.0; g.len()];
         let mut u_out = vec![[0.0; 3]; g.len()];
@@ -485,60 +394,41 @@ impl<L: Lattice, C: Collision<L>> MultiSparseStSim<L, C> {
         (rho_out, u_out)
     }
 
-    /// Serialize the full sharded state (LBCK flavor `"multi-sparse-st"`):
-    /// dimensions, timestep, and every shard's current compacted lattice
-    /// (ghost nodes included, so no post-restore exchange is needed).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let g = self.decomp.global();
-        let mut w = CheckpointWriter::new("multi-sparse-st");
-        w.put_u64(g.nx as u64)
-            .put_u64(g.ny as u64)
-            .put_u64(g.nz as u64)
-            .put_u64(L::Q as u64)
-            .put_u64(self.shards.len() as u64)
-            .put_u64(self.t);
-        for sh in &self.shards {
-            w.put_f64s(&sh.bufs[sh.cur].snapshot());
-        }
-        w.finish()
+    fn write_state(&self, w: &mut CheckpointWriter) {
+        write_shards(w, &self.shards, L::Q);
     }
 
-    /// Restore a [`MultiSparseStSim::checkpoint`] snapshot on an
-    /// identically configured simulation (bitwise; the snapshot lands in
-    /// buffer 0 regardless of the saved parity).
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let g = self.decomp.global();
-        let mut r = CheckpointReader::open(bytes, "multi-sparse-st")?;
-        r.expect_u64(g.nx as u64, "nx")?;
-        r.expect_u64(g.ny as u64, "ny")?;
-        r.expect_u64(g.nz as u64, "nz")?;
-        r.expect_u64(L::Q as u64, "Q")?;
-        r.expect_u64(self.shards.len() as u64, "shard count")?;
-        self.t = r.take_u64()?;
-        for sh in &mut self.shards {
-            let data = r.take_f64s(sh.bufs[0].len())?;
-            for (i, v) in data.iter().enumerate() {
-                sh.bufs[0].set(i, *v);
-            }
-            sh.cur = 0;
-        }
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.t);
-        }
-        Ok(())
+    fn read_state(&mut self, r: &mut CheckpointReader) -> Result<(), CheckpointError> {
+        read_shards(r, &mut self.shards, L::Q)
+    }
+
+    /// Every shard's compacted buffers and link table.
+    fn lattice_bytes(&self) -> usize {
+        shard_bytes(&self.shards)
+    }
+
+    fn attach_obs(&mut self, obs: Arc<obs::Obs>) {
+        self.mg.set_obs(obs);
+    }
+
+    fn attach_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
+        self.mg.set_trace_ctx(ctx);
+    }
+
+    fn link_retries(&self) -> u64 {
+        self.halo_retries.load(Ordering::Relaxed)
     }
 }
 
 /// Slab-sharded sparse MR simulation (MR-P or MR-R) across N devices.
 pub struct MultiSparseMrSim<L: Lattice> {
+    shell: Shell,
     mg: MultiGpu,
     decomp: SlabDecomp,
     shards: Vec<SparseShard>,
     scheme: MrScheme,
     tau: f64,
     scalar: bool,
-    t: u64,
-    monitor: Option<obs::PhysicsMonitor>,
     retry: HaloRetryPolicy,
     halo_retries: AtomicU64,
     _l: PhantomData<L>,
@@ -574,14 +464,13 @@ impl<L: Lattice> MultiSparseMrSim<L> {
             .map(|r| build_shard::<L>(&decomp, r, L::M))
             .collect::<Result<Vec<_>, _>>()?;
         let mut sim = MultiSparseMrSim {
+            shell: Shell::new("multi-sparse-mr"),
             mg: MultiGpu::ring(device, n),
             decomp,
             shards,
             scheme,
             tau,
             scalar: false,
-            t: 0,
-            monitor: None,
             retry: HaloRetryPolicy::default(),
             halo_retries: AtomicU64::new(0),
             _l: PhantomData,
@@ -590,7 +479,54 @@ impl<L: Lattice> MultiSparseMrSim<L> {
         Ok(sim)
     }
 
-    sparse_multi_common!(MultiSparseMrSim, "multi-sparse-mr", L::M);
+    /// Limit each device's CPU worker threads.
+    pub fn with_cpu_threads(mut self, n: usize) -> Self {
+        self.mg = self.mg.with_cpu_threads(n);
+        self
+    }
+
+    /// Override the minimum launch size dispatched to the worker pool;
+    /// `0` forces pooling for every multi-block launch.
+    pub fn with_parallel_threshold(mut self, items: usize) -> Self {
+        self.mg = self.mg.with_parallel_threshold(items);
+        self
+    }
+
+    /// Mirror link traffic into a shared profiler.
+    pub fn with_profiler(mut self, p: Arc<gpu_sim::profiler::Profiler>) -> Self {
+        self.mg = self.mg.with_profiler(p);
+        self
+    }
+
+    /// Override the halo-transfer retry policy.
+    pub fn with_halo_retry(mut self, policy: HaloRetryPolicy) -> Self {
+        self.retry = policy;
+        self
+    }
+
+    /// Attach a deterministic fault plan to every device, every shard's
+    /// state buffers, and the interconnect.
+    pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
+        set_fault_plan(&mut self.mg, &mut self.shards, plan);
+        self
+    }
+
+    /// [`Simulation::try_step`], surfacing the substrate's typed
+    /// [`LinkError`].
+    pub fn try_step(&mut self) -> Result<(), LinkError> {
+        Simulation::try_step(self).map_err(link_error_from_step)
+    }
+
+    /// The interconnect (link byte counters, report).
+    pub fn interconnect(&self) -> &MultiGpu {
+        &self.mg
+    }
+
+    /// Analytic per-step halo traffic: fluid-like cut-column nodes ×
+    /// `M·8` — proportional to fluid count, not box volume.
+    pub fn halo_bytes_per_step(&self) -> u64 {
+        (self.decomp.halo_nodes_per_step() * L::M * 8) as u64
+    }
 
     /// Force the original per-node scalar kernels (bitwise-identical to
     /// the default vectorized lane path; used by the equivalence tests).
@@ -621,23 +557,28 @@ impl<L: Lattice> MultiSparseMrSim<L> {
                 }
             }
         }
-        self.t = 0;
+        self.shell.reset_steps();
+    }
+}
+
+impl<L: Lattice> Driver for MultiSparseMrSim<L> {
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn geom(&self) -> &Geometry {
+        self.decomp.global()
     }
 
     /// Advance one timestep, surfacing halo-link failures. On `Err` no
     /// state has advanced — the time-`t` buffer is never written (the
     /// sharded update is double-buffered, unlike the in-place single-device
     /// driver), so a retried step recomputes bitwise-identically.
-    pub fn try_step(&mut self) -> Result<(), LinkError> {
-        let obs = self.mg.obs().cloned();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.t.to_string())];
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
-
+    fn advance(&mut self) -> Result<(), StepError> {
         // Update every shard's owned (active) nodes: read t, write t+1.
         for (r, sh) in self.shards.iter().enumerate() {
             launch_sparse_mr::<L>(
@@ -653,13 +594,7 @@ impl<L: Lattice> MultiSparseMrSim<L> {
         }
 
         // Per-tile moment-space halo exchange: M·8 bytes per fluid node.
-        let _halo_span = obs.as_ref().map(|o| {
-            let mut args = Vec::new();
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("halo", "halo-exchange", &args)
-        });
+        let halo_span = self.shell.span("halo", "halo-exchange");
         exchange_tiled(
             &self.mg,
             &self.decomp,
@@ -668,19 +603,15 @@ impl<L: Lattice> MultiSparseMrSim<L> {
             &self.retry,
             &self.halo_retries,
         )?;
-        drop(_halo_span);
+        drop(halo_span);
 
         for sh in &mut self.shards {
             sh.cur ^= 1;
         }
-        self.t += 1;
-        self.sample_monitor();
         Ok(())
     }
 
-    /// Global density and velocity in one pass over the owning shards
-    /// (solid nodes report zero).
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    fn gather_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
         let g = self.decomp.global();
         let mut rho_out = vec![0.0; g.len()];
         let mut u_out = vec![[0.0; 3]; g.len()];
@@ -700,44 +631,29 @@ impl<L: Lattice> MultiSparseMrSim<L> {
         (rho_out, u_out)
     }
 
-    /// Serialize the full sharded state (LBCK flavor `"multi-sparse-mr"`).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let g = self.decomp.global();
-        let mut w = CheckpointWriter::new("multi-sparse-mr");
-        w.put_u64(g.nx as u64)
-            .put_u64(g.ny as u64)
-            .put_u64(g.nz as u64)
-            .put_u64(L::M as u64)
-            .put_u64(self.shards.len() as u64)
-            .put_u64(self.t);
-        for sh in &self.shards {
-            w.put_f64s(&sh.bufs[sh.cur].snapshot());
-        }
-        w.finish()
+    fn write_state(&self, w: &mut CheckpointWriter) {
+        write_shards(w, &self.shards, L::M);
     }
 
-    /// Restore a [`MultiSparseMrSim::checkpoint`] snapshot on an
-    /// identically configured simulation (bitwise).
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let g = self.decomp.global();
-        let mut r = CheckpointReader::open(bytes, "multi-sparse-mr")?;
-        r.expect_u64(g.nx as u64, "nx")?;
-        r.expect_u64(g.ny as u64, "ny")?;
-        r.expect_u64(g.nz as u64, "nz")?;
-        r.expect_u64(L::M as u64, "M")?;
-        r.expect_u64(self.shards.len() as u64, "shard count")?;
-        self.t = r.take_u64()?;
-        for sh in &mut self.shards {
-            let data = r.take_f64s(sh.bufs[0].len())?;
-            for (i, v) in data.iter().enumerate() {
-                sh.bufs[0].set(i, *v);
-            }
-            sh.cur = 0;
-        }
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.t);
-        }
-        Ok(())
+    fn read_state(&mut self, r: &mut CheckpointReader) -> Result<(), CheckpointError> {
+        read_shards(r, &mut self.shards, L::M)
+    }
+
+    /// Every shard's compacted buffers and link table.
+    fn lattice_bytes(&self) -> usize {
+        shard_bytes(&self.shards)
+    }
+
+    fn attach_obs(&mut self, obs: Arc<obs::Obs>) {
+        self.mg.set_obs(obs);
+    }
+
+    fn attach_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
+        self.mg.set_trace_ctx(ctx);
+    }
+
+    fn link_retries(&self) -> u64 {
+        self.halo_retries.load(Ordering::Relaxed)
     }
 }
 

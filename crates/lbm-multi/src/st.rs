@@ -9,7 +9,7 @@
 //! kernel rebuilds the global `x` edges.
 
 use crate::decomp::SlabDecomp;
-use crate::recovery::{transfer_with_retry, HaloRetryPolicy};
+use crate::recovery::{link_error_from_step, transfer_with_retry, HaloRetryPolicy};
 use crate::stats::{device_time_s, exchange_time_s, OverlapStats};
 use gpu_sim::interconnect::{LinkError, MultiGpu};
 use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer};
@@ -17,6 +17,7 @@ use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::io::{CheckpointError, CheckpointReader, CheckpointWriter};
 use lbm_core::kernels::KernelConsts;
+use lbm_core::sim::{Driver, Shell, Simulation, StepError};
 use lbm_gpu::boundary::boundary_nodes;
 use lbm_gpu::st::{launch_st_bc, launch_st_pull_span};
 use lbm_lattice::moments::Moments;
@@ -65,15 +66,14 @@ impl StShard {
 
 /// Slab-sharded ST simulation across N simulated devices.
 pub struct MultiStSim<L: Lattice, C: Collision<L>> {
+    shell: Shell,
     mg: MultiGpu,
     decomp: SlabDecomp,
     shards: Vec<StShard>,
     collision: C,
     consts: KernelConsts,
     block_size: usize,
-    t: u64,
     stats: OverlapStats,
-    monitor: Option<obs::PhysicsMonitor>,
     retry: HaloRetryPolicy,
     halo_retries: AtomicU64,
     _l: PhantomData<L>,
@@ -112,15 +112,14 @@ impl<L: Lattice, C: Collision<L>> MultiStSim<L, C> {
             })
             .collect();
         let mut sim = MultiStSim {
+            shell: Shell::new("multi-st"),
             mg,
             decomp,
             shards,
             consts: KernelConsts::new::<L>(collision.tau()),
             collision,
             block_size: 256,
-            t: 0,
             stats: OverlapStats::default(),
-            monitor: None,
             retry: HaloRetryPolicy::default(),
             halo_retries: AtomicU64::new(0),
             _l: PhantomData,
@@ -163,50 +162,6 @@ impl<L: Lattice, C: Collision<L>> MultiStSim<L, C> {
         self
     }
 
-    /// Attach one observability hub to every device and the link layer:
-    /// the driver adds `step` and `halo-exchange` spans, the devices nest
-    /// kernel spans, and transfers publish link metrics.
-    pub fn with_obs(mut self, obs: std::sync::Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
-    }
-
-    /// In-place [`MultiStSim::with_obs`] (the `Simulation` trait surface).
-    pub fn set_obs(&mut self, obs: std::sync::Arc<obs::Obs>) {
-        self.mg.set_obs(obs);
-    }
-
-    /// Tag every device's kernel spans (and this driver's step/halo spans)
-    /// with a fleet trace context, or clear it with `None`.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.mg.set_trace_ctx(ctx);
-    }
-
-    /// Device-memory footprint of every shard's resident lattices.
-    pub fn footprint_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.f[0].size_bytes() + s.f[1].size_bytes())
-            .sum()
-    }
-
-    /// Attach a physics monitor over the *global* fields every
-    /// `cfg.cadence` steps.
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The attached physics monitor, if any.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
-    }
-
-    /// Mutable access to the physics monitor, if enabled.
-    pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
-        self.monitor.as_mut()
-    }
-
     /// Override the halo-transfer retry policy.
     pub fn with_halo_retry(mut self, policy: HaloRetryPolicy) -> Self {
         self.retry = policy;
@@ -222,26 +177,6 @@ impl<L: Lattice, C: Collision<L>> MultiStSim<L, C> {
             sh.f[1].set_fault_plan(plan.clone());
         }
         self
-    }
-
-    /// Halo-transfer retries performed so far.
-    pub fn halo_retries(&self) -> u64 {
-        self.halo_retries.load(Ordering::Relaxed)
-    }
-
-    /// Cadence-gated monitor sampling over the gathered global fields.
-    fn sample_monitor(&mut self, pattern: &str) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.t)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.t, &rho, &u);
-        if let Some(o) = self.mg.obs() {
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", pattern)], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", pattern)], s.max_u);
-        }
     }
 
     /// Initialize every node — *including ghosts* — from a macroscopic
@@ -271,31 +206,102 @@ impl<L: Lattice, C: Collision<L>> MultiStSim<L, C> {
                 }
             }
         }
-        self.t = 0;
+        self.shell.reset_steps();
         self.stats = OverlapStats::default();
     }
 
-    /// Advance one timestep with the two-phase overlap schedule. Panics if
-    /// a halo transfer fails beyond the retry budget; use
-    /// [`MultiStSim::try_step`] for typed link errors.
-    pub fn step(&mut self) {
-        self.try_step()
-            .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
+    /// [`Simulation::try_step`], surfacing the substrate's typed
+    /// [`LinkError`].
+    pub fn try_step(&mut self) -> Result<(), LinkError> {
+        Simulation::try_step(self).map_err(link_error_from_step)
     }
 
-    /// Advance one timestep, surfacing halo-link failures. On `Err` no
-    /// state has advanced (`t` and the buffer parity are unchanged) — the
-    /// completed strip launches are idempotent and a later retry of the
-    /// whole step recomputes them bitwise-identically.
-    pub fn try_step(&mut self) -> Result<(), LinkError> {
-        let obs = self.mg.obs().cloned();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.t.to_string())];
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
+    /// Copy every cut's freshly computed edge columns (in `dst`, time
+    /// `t+1`) into the neighbors' ghost columns. The link tally is
+    /// recorded (with bounded retries on transient link faults) *before*
+    /// the copy: a failed transfer moves no data and records no bytes, so
+    /// a successful retry tallies exactly once.
+    fn exchange(&self) -> Result<Vec<(usize, usize, u64)>, StepError> {
+        let mut out = Vec::new();
+        for tr in self.decomp.halo_transfers() {
+            let bytes = (self.decomp.column_fluid_count(tr.gx) * L::Q * 8) as u64;
+            transfer_with_retry(
+                &self.mg,
+                tr.from,
+                tr.to,
+                bytes,
+                &self.retry,
+                &self.halo_retries,
+            )?;
+            let (src, dst) = (&self.shards[tr.from], &self.shards[tr.to]);
+            let (sn, dn) = (src.geom.len(), dst.geom.len());
+            let (sf, df) = (&src.f[src.cur ^ 1], &dst.f[dst.cur ^ 1]);
+            for z in 0..src.geom.nz {
+                for y in 0..src.geom.ny {
+                    if !src.geom.node(tr.src_lx, y, z).is_fluid_like() {
+                        continue;
+                    }
+                    let si = src.geom.idx(tr.src_lx, y, z);
+                    let di = dst.geom.idx(tr.dst_lx, y, z);
+                    for i in 0..L::Q {
+                        df.set(i * dn + di, sf.get(i * sn + si));
+                    }
+                }
             }
-            o.tracer.span_args("driver", "step", &args)
-        });
+            out.push((tr.from, tr.to, bytes));
+        }
+        Ok(out)
+    }
+
+    /// The interconnect (link byte counters, report).
+    pub fn interconnect(&self) -> &MultiGpu {
+        &self.mg
+    }
+
+    /// Modeled overlap-schedule timing.
+    pub fn stats(&self) -> &OverlapStats {
+        &self.stats
+    }
+
+    /// Analytic per-step halo traffic: fluid-like halo nodes × `Q·8`.
+    pub fn halo_bytes_per_step(&self) -> u64 {
+        (self.decomp.halo_nodes_per_step() * L::Q * 8) as u64
+    }
+
+    /// Distribution at a global node (current state, owner shard).
+    pub fn f_at(&self, x: usize, y: usize, z: usize) -> Vec<f64> {
+        let r = self.decomp.owner_of(x);
+        let sh = &self.shards[r];
+        let lx = self.decomp.slab(r).owned_lo() + (x - self.decomp.slab(r).x0);
+        let ln = sh.geom.len();
+        let idx = sh.geom.idx(lx, y, z);
+        (0..L::Q).map(|i| sh.f[sh.cur].get(i * ln + idx)).collect()
+    }
+
+    /// Moments at a global node.
+    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
+        Moments::from_f::<L>(&self.f_at(x, y, z))
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> Driver for MultiStSim<L, C> {
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn geom(&self) -> &Geometry {
+        self.decomp.global()
+    }
+
+    /// The two-phase overlap schedule. On `Err` no state has advanced
+    /// (the buffer parity is unchanged) — the completed strip launches are
+    /// idempotent and a later retry of the whole step recomputes them
+    /// bitwise-identically.
+    fn advance(&mut self) -> Result<(), StepError> {
         let n_sh = self.shards.len();
         let mut boundary_bytes = vec![0u64; n_sh];
         let mut interior_bytes = vec![0u64; n_sh];
@@ -322,15 +328,9 @@ impl<L: Lattice, C: Collision<L>> MultiStSim<L, C> {
 
         // Phase 2: halo exchange of the strip results (overlapped with the
         // interior launch in the timing model).
-        let _halo_span = obs.as_ref().map(|o| {
-            let mut args = Vec::new();
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("halo", "halo-exchange", &args)
-        });
+        let halo_span = self.shell.span("halo", "halo-exchange");
         let transfers = self.exchange()?;
-        drop(_halo_span);
+        drop(halo_span);
 
         // Phase 3: interior.
         for (r, sh) in self.shards.iter().enumerate() {
@@ -377,123 +377,12 @@ impl<L: Lattice, C: Collision<L>> MultiStSim<L, C> {
         for sh in &mut self.shards {
             sh.cur ^= 1;
         }
-        self.t += 1;
-        self.sample_monitor("multi-st");
         Ok(())
     }
 
-    /// Copy every cut's freshly computed edge columns (in `dst`, time
-    /// `t+1`) into the neighbors' ghost columns. The link tally is
-    /// recorded (with bounded retries on transient link faults) *before*
-    /// the copy: a failed transfer moves no data and records no bytes, so
-    /// a successful retry tallies exactly once.
-    fn exchange(&self) -> Result<Vec<(usize, usize, u64)>, LinkError> {
-        let mut out = Vec::new();
-        for tr in self.decomp.halo_transfers() {
-            let bytes = (self.decomp.column_fluid_count(tr.gx) * L::Q * 8) as u64;
-            transfer_with_retry(
-                &self.mg,
-                tr.from,
-                tr.to,
-                bytes,
-                &self.retry,
-                &self.halo_retries,
-            )?;
-            let (src, dst) = (&self.shards[tr.from], &self.shards[tr.to]);
-            let (sn, dn) = (src.geom.len(), dst.geom.len());
-            let (sf, df) = (&src.f[src.cur ^ 1], &dst.f[dst.cur ^ 1]);
-            for z in 0..src.geom.nz {
-                for y in 0..src.geom.ny {
-                    if !src.geom.node(tr.src_lx, y, z).is_fluid_like() {
-                        continue;
-                    }
-                    let si = src.geom.idx(tr.src_lx, y, z);
-                    let di = dst.geom.idx(tr.dst_lx, y, z);
-                    for i in 0..L::Q {
-                        df.set(i * dn + di, sf.get(i * sn + si));
-                    }
-                }
-            }
-            out.push((tr.from, tr.to, bytes));
-        }
-        Ok(out)
-    }
-
-    /// Advance `steps` timesteps, then flush a final monitor sample if the
-    /// last step fell between cadence points.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Force a final monitor sample at the current step (no-op when the
-    /// monitor is absent or already sampled this step).
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.t, &rho, &u);
-        if let (Some(s), Some(o)) = (s, self.mg.obs()) {
-            let labels = [("pattern", "multi-st")];
-            o.metrics.gauge_set("monitor_mass", &labels, s.mass);
-            o.metrics.gauge_set("monitor_max_u", &labels, s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// The global geometry.
-    pub fn geom(&self) -> &Geometry {
-        self.decomp.global()
-    }
-
-    /// Number of devices.
-    pub fn num_devices(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The interconnect (link byte counters, report).
-    pub fn interconnect(&self) -> &MultiGpu {
-        &self.mg
-    }
-
-    /// Modeled overlap-schedule timing.
-    pub fn stats(&self) -> &OverlapStats {
-        &self.stats
-    }
-
-    /// Analytic per-step halo traffic: fluid-like halo nodes × `Q·8`.
-    pub fn halo_bytes_per_step(&self) -> u64 {
-        (self.decomp.halo_nodes_per_step() * L::Q * 8) as u64
-    }
-
-    /// Distribution at a global node (current state, owner shard).
-    pub fn f_at(&self, x: usize, y: usize, z: usize) -> Vec<f64> {
-        let r = self.decomp.owner_of(x);
-        let sh = &self.shards[r];
-        let lx = self.decomp.slab(r).owned_lo() + (x - self.decomp.slab(r).x0);
-        let ln = sh.geom.len();
-        let idx = sh.geom.idx(lx, y, z);
-        (0..L::Q).map(|i| sh.f[sh.cur].get(i * ln + idx)).collect()
-    }
-
-    /// Moments at a global node.
-    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
-        Moments::from_f::<L>(&self.f_at(x, y, z))
-    }
-
-    /// Global density and velocity fields in one pass over the owning
-    /// shards, without the per-node `Vec` of [`MultiStSim::f_at`] (solid
-    /// nodes report zero). This is what the physics monitor samples.
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    /// Gathered in one pass over the owning shards, without the per-node
+    /// `Vec` of [`MultiStSim::f_at`].
+    fn gather_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
         let g = self.decomp.global();
         let mut rho_out = vec![0.0; g.len()];
         let mut u_out = vec![[0.0; 3]; g.len()];
@@ -525,82 +414,51 @@ impl<L: Lattice, C: Collision<L>> MultiStSim<L, C> {
         (rho_out, u_out)
     }
 
-    /// Global velocity field (solid nodes report zero), gathered from the
-    /// owning shards.
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
-    }
-
-    /// Global density field (solid nodes report zero).
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
-    }
-
-    /// FNV-1a checksum of the global macroscopic fields (bitwise).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Serialize the full sharded state: dimensions, timestep, overlap
-    /// stats, and every shard's current distribution buffer (ghost
-    /// columns included, so no post-restore exchange is needed).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let g = self.decomp.global();
-        let mut w = CheckpointWriter::new("multi-st");
-        w.put_u64(g.nx as u64)
-            .put_u64(g.ny as u64)
-            .put_u64(g.nz as u64)
-            .put_u64(L::Q as u64)
-            .put_u64(self.shards.len() as u64)
-            .put_u64(self.t)
-            .put_u64(self.stats.steps)
-            .put_f64(self.stats.boundary_s)
-            .put_f64(self.stats.interior_s)
-            .put_f64(self.stats.exchange_s)
-            .put_f64(self.stats.bc_s)
-            .put_f64(self.stats.hidden_s)
-            .put_f64(self.stats.total_s);
+    /// `Q`, the shard count, the overlap stats, and every shard's current
+    /// distribution buffer (ghost columns included, so no post-restore
+    /// exchange is needed).
+    fn write_state(&self, w: &mut CheckpointWriter) {
+        w.put_u64(L::Q as u64).put_u64(self.shards.len() as u64);
+        self.stats.write(w);
         for sh in &self.shards {
             w.put_f64s(&sh.f[sh.cur].snapshot());
         }
-        w.finish()
     }
 
-    /// Restore a snapshot taken by [`MultiStSim::checkpoint`] on an
-    /// identically configured simulation. Bitwise: the restored state
-    /// continues exactly as the original would have (the snapshot lands in
-    /// buffer 0 regardless of the saved parity).
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let g = self.decomp.global();
-        let mut r = CheckpointReader::open(bytes, "multi-st")?;
-        r.expect_u64(g.nx as u64, "nx")?;
-        r.expect_u64(g.ny as u64, "ny")?;
-        r.expect_u64(g.nz as u64, "nz")?;
+    /// Bitwise: the snapshot lands in buffer 0 regardless of the saved
+    /// parity.
+    fn read_state(&mut self, r: &mut CheckpointReader) -> Result<(), CheckpointError> {
         r.expect_u64(L::Q as u64, "Q")?;
         r.expect_u64(self.shards.len() as u64, "shard count")?;
-        self.t = r.take_u64()?;
-        self.stats = OverlapStats {
-            steps: r.take_u64()?,
-            boundary_s: r.take_f64()?,
-            interior_s: r.take_f64()?,
-            exchange_s: r.take_f64()?,
-            bc_s: r.take_f64()?,
-            hidden_s: r.take_f64()?,
-            total_s: r.take_f64()?,
-        };
+        self.stats = OverlapStats::read(r)?;
         for sh in &mut self.shards {
-            let n = L::Q * sh.geom.len();
-            let data = r.take_f64s(n)?;
+            let data = r.take_f64s(L::Q * sh.geom.len())?;
             for (i, v) in data.iter().enumerate() {
                 sh.f[0].set(i, *v);
             }
             sh.cur = 0;
         }
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.t);
-        }
         Ok(())
+    }
+
+    /// Every shard's two resident lattices.
+    fn lattice_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.f[0].size_bytes() + s.f[1].size_bytes())
+            .sum()
+    }
+
+    fn attach_obs(&mut self, obs: Arc<obs::Obs>) {
+        self.mg.set_obs(obs);
+    }
+
+    fn attach_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
+        self.mg.set_trace_ctx(ctx);
+    }
+
+    fn link_retries(&self) -> u64 {
+        self.halo_retries.load(Ordering::Relaxed)
     }
 }
 

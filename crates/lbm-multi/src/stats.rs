@@ -16,6 +16,7 @@
 
 use gpu_sim::interconnect::MultiGpu;
 use gpu_sim::DeviceSpec;
+use lbm_core::io::{CheckpointError, CheckpointReader, CheckpointWriter};
 
 /// Accumulated per-phase modeled times over all steps.
 #[derive(Clone, Copy, Debug, Default)]
@@ -44,6 +45,30 @@ impl OverlapStats {
         self.bc_s += bc;
         self.hidden_s += interior.min(exchange);
         self.total_s += boundary + interior.max(exchange) + bc;
+    }
+
+    /// Append the accumulated timings to a checkpoint payload (raw bits).
+    pub(crate) fn write(&self, w: &mut CheckpointWriter) {
+        w.put_u64(self.steps)
+            .put_f64(self.boundary_s)
+            .put_f64(self.interior_s)
+            .put_f64(self.exchange_s)
+            .put_f64(self.bc_s)
+            .put_f64(self.hidden_s)
+            .put_f64(self.total_s);
+    }
+
+    /// Read back what [`OverlapStats::write`] appended.
+    pub(crate) fn read(r: &mut CheckpointReader) -> Result<Self, CheckpointError> {
+        Ok(OverlapStats {
+            steps: r.take_u64()?,
+            boundary_s: r.take_f64()?,
+            interior_s: r.take_f64()?,
+            exchange_s: r.take_f64()?,
+            bc_s: r.take_f64()?,
+            hidden_s: r.take_f64()?,
+            total_s: r.take_f64()?,
+        })
     }
 
     /// Fraction of exchange time hidden behind the interior launch

@@ -47,7 +47,7 @@ pub mod prelude {
     pub use gpu_sim::{occupancy, roofline, DeviceSpec, Gpu};
     pub use lbm_core::collision::{Bgk, Collision, Projective, Recursive};
     pub use lbm_core::{analytic, diagnostics, io, units, Geometry, NodeType, Solver};
-    pub use lbm_core::{Simulation, StepError};
+    pub use lbm_core::{Driver, Simulation, StepError};
     pub use lbm_gpu::{
         AaStSim, MrScheme, MrSim2D, MrSim3D, SparseMrSim2D, SparseMrSim3D, StSim, StSparseSim,
         StStream,

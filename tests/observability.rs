@@ -135,6 +135,70 @@ fn monitor_catches_violations() {
     assert!(!drift.is_ok(), "mass drift must be a violation");
 }
 
+/// A cadence sample that sees a non-finite value leaves a
+/// `monitor`/`nonfinite` trace instant — for the solo and the sharded
+/// drivers alike, since every driver samples through the one shell.
+#[test]
+fn nonfinite_sample_emits_trace_instant_in_every_driver_family() {
+    use lbm_mr::gpu::FaultPlan;
+    use std::sync::Arc;
+    let geom = Geometry::walls_y_periodic_x(16, 8);
+    let monitor = MonitorConfig {
+        cadence: 1,
+        ..Default::default()
+    };
+    let nan_at = |index, skip| {
+        let mut p = FaultPlan::new();
+        p.inject_nan(index, skip);
+        Arc::new(p)
+    };
+    let dev = DeviceSpec::v100;
+    let (p_st, p_multi_st, p_multi_mr) = (nan_at(69, 4), nan_at(30, 8), nan_at(40, 10));
+    let sims: Vec<(&str, &FaultPlan, Box<dyn Simulation>)> = vec![
+        (
+            "st",
+            &p_st,
+            Box::new(
+                StSim::<D2Q9, _>::new(dev(), geom.clone(), Projective::new(0.8))
+                    .with_fault_plan(p_st.clone())
+                    .with_monitor(monitor),
+            ),
+        ),
+        (
+            "multi-st",
+            &p_multi_st,
+            Box::new(
+                MultiStSim::<D2Q9, _>::new(dev(), geom.clone(), Projective::new(0.8), 3)
+                    .with_fault_plan(p_multi_st.clone())
+                    .with_monitor(monitor),
+            ),
+        ),
+        (
+            "multi-mr2d",
+            &p_multi_mr,
+            Box::new(
+                MultiMrSim2D::<D2Q9>::new(dev(), geom.clone(), MrScheme::projective(), 0.8, 4)
+                    .with_fault_plan(p_multi_mr.clone())
+                    .with_monitor(monitor),
+            ),
+        ),
+    ];
+    for (label, plan, mut sim) in sims {
+        let hub = Obs::shared();
+        sim.set_obs(hub.clone());
+        sim.run(12);
+        assert!(plan.total_fired() >= 1, "{label}: the fault never fired");
+        assert!(!sim.monitor_ok(), "{label}: the monitor missed the NaN");
+        let instants = hub.tracer.events();
+        assert!(
+            instants
+                .iter()
+                .any(|e| e.ph == 'i' && e.cat == "monitor" && e.name == "nonfinite"),
+            "{label}: no monitor/nonfinite instant in the trace"
+        );
+    }
+}
+
 /// Profiler lifecycle through the facade: reset clears, merge folds two
 /// profilers' kernels and links into one.
 #[test]

@@ -342,6 +342,100 @@ fn restore_rejects_bad_snapshots() {
     // The sim still runs after the rejected restores.
     st.restore(&snap).unwrap();
     st.run(1);
+
+    // Every driver configuration, through the object-safe surface: a
+    // foreign flavor is a typed rejection, a cut anywhere in the framing or
+    // the shell-written header is `Truncated` (never a panic), and the
+    // driver's own snapshot still restores afterwards.
+    for &a in EVERY_DRIVER {
+        let mut sim = build_driver(a);
+        sim.run(3);
+        let snap = sim.checkpoint();
+        for &b in EVERY_DRIVER.iter().filter(|&&b| b != a) {
+            assert!(
+                matches!(
+                    build_driver(b).restore(&snap),
+                    Err(CheckpointError::WrongFlavor { .. })
+                ),
+                "{a} snapshot restored into {b}"
+            );
+        }
+        // Framing (32 bytes) plus the nx/ny/nz/steps header words.
+        for len in 0..=64 {
+            assert!(
+                matches!(
+                    sim.restore(&snap[..len]),
+                    Err(CheckpointError::Truncated | CheckpointError::ChecksumMismatch)
+                ),
+                "{a} snapshot cut to {len} bytes"
+            );
+        }
+        let want = sim.field_checksum();
+        sim.restore(&snap).unwrap();
+        assert_eq!(sim.steps(), 3, "{a}");
+        assert_eq!(sim.field_checksum(), want, "{a}");
+    }
+}
+
+/// Every driver configuration, by checkpoint flavor.
+const EVERY_DRIVER: &[&str] = &[
+    "st",
+    "mr2d",
+    "mr3d",
+    "aa-st",
+    "mr2d-twist",
+    "mr3d-twist",
+    "sparse-st",
+    "sparse-mr",
+    "multi-st",
+    "multi-aa-st",
+    "multi-mr2d",
+    "multi-mr3d",
+    "multi-sparse-st",
+    "multi-sparse-mr",
+];
+
+/// A fresh, initialized instance of one [`EVERY_DRIVER`] configuration.
+fn build_driver(flavor: &str) -> Box<dyn Simulation + Send> {
+    let (dev, tau) = (DeviceSpec::v100(), 0.8);
+    let (g2, g3) = (Geometry::walls_y_periodic_x(16, 8), duct(12, 8, 8));
+    let p = MrScheme::projective;
+    macro_rules! boxed {
+        ($sim:expr) => {{
+            let mut s = $sim.with_cpu_threads(1);
+            s.init_with(shear_init);
+            Box::new(s) as Box<dyn Simulation + Send>
+        }};
+    }
+    match flavor {
+        "st" => boxed!(StSim::<D2Q9, _>::new(dev, g2, Projective::new(tau))),
+        "mr2d" => boxed!(MrSim2D::<D2Q9>::new(dev, g2, p(), tau)),
+        "mr3d" => boxed!(MrSim3D::<D3Q19>::new(dev, g3, p(), tau)),
+        "aa-st" => boxed!(AaStSim::<D2Q9, _>::new(dev, g2, Projective::new(tau))),
+        "mr2d-twist" => boxed!(MrSim2D::<D2Q9>::new(dev, g2, p(), tau).with_twist()),
+        "mr3d-twist" => boxed!(MrSim3D::<D3Q19>::new(dev, g3, p(), tau).with_twist()),
+        "sparse-st" => boxed!(StSparseSim::<D2Q9, _>::new(dev, g2, Projective::new(tau))),
+        "sparse-mr" => boxed!(SparseMrSim2D::new(dev, g2, p(), tau)),
+        "multi-st" => boxed!(MultiStSim::<D2Q9, _>::new(dev, g2, Projective::new(tau), 2)),
+        "multi-aa-st" => boxed!(MultiAaStSim::<D2Q9, _>::new(
+            dev,
+            g2,
+            Projective::new(tau),
+            2
+        )),
+        "multi-mr2d" => boxed!(MultiMrSim2D::<D2Q9>::new(dev, g2, p(), tau, 2)),
+        "multi-mr3d" => boxed!(MultiMrSim3D::<D3Q19>::new(dev, g3, p(), tau, 2)),
+        "multi-sparse-st" => {
+            boxed!(MultiSparseStSim::<D2Q9, _>::new(
+                dev,
+                g2,
+                Projective::new(tau),
+                2
+            ))
+        }
+        "multi-sparse-mr" => boxed!(MultiSparseMrSim::<D2Q9>::new(dev, g2, p(), tau, 2)),
+        _ => unreachable!("unknown driver {flavor}"),
+    }
 }
 
 /// Recovery harness: `clean` runs uninterrupted; `faulted` (identically
